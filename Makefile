@@ -5,9 +5,11 @@
 #   make lint-fix  — apply unilint's suggested fixes in place
 #   make sarif     — write unilint findings to unilint.sarif
 #   make vet       — go vet
+#   make fmt-check — fail if any tracked .go file outside testdata/ needs gofmt
 #   make test      — full test suite
 #   make race      — full test suite under the race detector
 #   make bench     — benchmarks (no tests)
+#   make bench-test — the benchmark's own tests (cmd/unibench is a nested module)
 #   make bench-json — train/predict baseline + registry counters → BENCH_core.json
 #   make bench-serving — serving-tier latency/throughput baseline → BENCH_serving.json
 #   make bench-gate — regenerate both reports, fail on regression
@@ -18,6 +20,7 @@
 #   make clean     — remove generated artifacts (bench candidates, SARIF, chaos transcripts)
 
 GO ?= go
+GOFMT ?= gofmt
 CHAOS_SEEDS ?= 1,7,42
 CHAOS_ARTIFACT_DIR ?= $(CURDIR)/chaos-artifacts
 FUZZTIME ?= 10s
@@ -28,6 +31,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/strdist=FuzzLevenshteinBounded \
 	./internal/strdist=FuzzDifferingTokens \
+	./internal/strdist=FuzzSpellingMPD \
 	./internal/table=FuzzParseNumber \
 	./internal/table=FuzzTokenize \
 	./internal/table=FuzzInferType \
@@ -41,7 +45,7 @@ FUZZ_TARGETS = \
 	./internal/serving=FuzzJobRequest \
 	./internal/tenants=FuzzTenantRegistryLoad
 
-.PHONY: all build lint lint-fix sarif vet test race bench bench-json bench-serving bench-gate chaos cover fuzz check clean
+.PHONY: all build lint lint-fix sarif vet fmt-check test race bench bench-test bench-json bench-serving bench-gate chaos cover fuzz check clean
 
 all: build test
 
@@ -61,6 +65,12 @@ sarif:
 vet:
 	$(GO) vet ./...
 
+# Analyzer fixtures under testdata/ keep the layout their tests expect,
+# so they are exempt; every other tracked Go file must be gofmt-clean.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -Ev '(^|/)testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -69,6 +79,11 @@ race:
 
 bench:
 	$(GO) test -run=NoSuchTest -bench=. -benchtime=1x ./...
+
+# cmd/unibench is a nested module (its own go.mod), so the root
+# `go test ./...` never reaches its smoke and output-oracle tests.
+bench-test:
+	cd cmd/unibench && $(GO) test ./...
 
 # Regenerates the committed perf/behaviour baseline. Timings are
 # machine-relative; the counters block is seed-deterministic and a diff
@@ -126,7 +141,7 @@ cover:
 		if [ "$$ok" != "1" ]; then echo "FAIL: $$pkg coverage $$pct% is below the 85% floor"; exit 1; fi; \
 	done
 
-check: build vet lint test race
+check: build vet fmt-check lint test bench-test race
 
 # Remove generated artifacts. BENCH_core.json is the committed baseline
 # and is deliberately left alone; bench-candidate.json is the scratch

@@ -45,11 +45,12 @@ import (
 
 // DefaultHotRoots is the serving hot-root set shared by the hotalloc and
 // hotpanic analyzers: the fast-path entry points of §2.2.3 serving
-// (predict, measure, index lookup, string-distance scans, measurement-
-// cache probes), the /v1/batch coalescer's leader path, which runs
-// once per coalesced group under request latency, and the streaming
-// scan path (the per-chunk driver loop plus every colstore decoder's
-// Next, which runs once per chunk of an arbitrarily long stream).
+// (predict, measure, index lookup, the spelling detector's MPD kernel,
+// measurement-cache probes), the /v1/batch coalescer's leader path,
+// which runs once per coalesced group under request latency, and the
+// streaming scan path (the per-chunk driver loop plus every colstore
+// decoder's Next, which runs once per chunk of an arbitrarily long
+// stream).
 // README.md ("Development") documents how to extend it.
 const DefaultHotRoots = "internal/core.Predictor.detectFast," +
 	"internal/core.Predictor.detectAllFast," +
@@ -57,9 +58,7 @@ const DefaultHotRoots = "internal/core.Predictor.detectFast," +
 	"internal/core.measureCache.get," +
 	"internal/core.measureCache.getTable," +
 	"internal/lrindex.Index.LR," +
-	"internal/strdist.MinPairDistScratch," +
-	"internal/strdist.MinPairDistCappedScratch," +
-	"internal/strdist.SecondMinPairDistCappedScratch," +
+	"internal/strdist.SpellingMPD," +
 	"internal/detectors.*.MeasureColumn," +
 	"internal/core.Predictor.scanChunks," +
 	"internal/colstore.*.Next," +

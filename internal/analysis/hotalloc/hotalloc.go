@@ -12,8 +12,9 @@
 // marks every function reachable from the declared hot roots (-roots,
 // defaulting to callpath.DefaultHotRoots: detectFast/detectAllFast/
 // measureUnit, the measurement-cache probes, lrindex.Index.LR, the
-// strdist scratch scans, and every detector MeasureColumn), and flags
-// each heap-allocating construct in a hot function:
+// spelling MPD kernel strdist.SpellingMPD, and every detector
+// MeasureColumn), and flags each heap-allocating construct in a hot
+// function:
 //
 //   - make / new / append (growth);
 //   - slice and map composite literals, and heap-escaping &T{...};

@@ -276,4 +276,3 @@ func (s *UcolSource) Close() error {
 	}
 	return nil
 }
-

@@ -5,13 +5,13 @@ import (
 	"github.com/unidetect/unidetect/internal/table"
 )
 
-// Scratch bundles the per-worker reusable buffers of the serving fast
-// path. One Scratch is owned by exactly one worker goroutine at a time;
-// reusing it across measurement units is what cuts the hot path's
-// allocations (the MPD rune conversions and DP rows dominate the
-// baseline's allocation profile).
+// Scratch bundles the per-worker reusable buffers of the measurement
+// path. One Scratch is owned by exactly one goroutine at a time; reusing
+// it across measurement units keeps the detectors' per-column state
+// (value tables, rune arenas, DP rows) allocated once per worker.
 type Scratch struct {
-	// MPD holds the string-distance buffers of the spelling detector.
+	// MPD holds the spelling detector's MPD kernel state: the column's
+	// distinct values, per-row codes and distance buffers.
 	MPD *strdist.Scratch
 	// F64 is a general float64 buffer (the outlier detector's drop-one
 	// resample).
@@ -22,7 +22,7 @@ type Scratch struct {
 
 // NewScratch returns a ready-to-use scratch.
 //
-// alloc-budget: 2 per-worker scratch construction, amortized over every unit the worker measures
+// alloc-budget: 2 per-worker (or per-table, off the fast path) scratch construction, amortized over every unit it measures
 func NewScratch() *Scratch {
 	return &Scratch{MPD: &strdist.Scratch{}}
 }
@@ -44,8 +44,9 @@ func (s *Scratch) Floats(n int) []float64 {
 //
 // MeasureColumn must be a pure function of (table, pos, env): the
 // measurement cache replays its results for identical column content.
-// sc may be nil (the reference path's Measure wrapper passes nil and
-// takes the allocating code paths). Implementations must NOT report
+// sc may be nil: the implementation then works in buffers of its own.
+// Either way it runs the same code and returns the same measurements;
+// a scratch only saves the allocations. Implementations must NOT report
 // measurement counts to env — the caller counts once per unit, keeping
 // totals identical between the reference (per-table) and fast
 // (per-column) paths.

@@ -334,20 +334,38 @@ func genCodes(rng *rand.Rand, n int) []string {
 	return out
 }
 
-// genLetterCodes produces unique fixed-length uppercase codes (ICAO-like,
-// Figure 4a).
+// genLetterCodes produces unique uppercase codes of the given length
+// (ICAO-like, Figure 4a). Past 26^length codes the rest are one letter
+// longer, since no more fit.
 func genLetterCodes(rng *rand.Rand, n, length int) []string {
 	seen := make(map[string]bool, n)
 	out := make([]string, 0, n)
+	left := codeSpace(length, n) // codes of this length not drawn yet, capped at n
 	for len(out) < n {
+		if left == 0 {
+			// Every code of this length is taken: lengthen the rest
+			// instead of drawing forever.
+			length++
+			left = codeSpace(length, n-len(out))
+		}
 		v := randLetters(rng, length)
 		if seen[v] {
 			continue
 		}
 		seen[v] = true
 		out = append(out, v)
+		left--
 	}
 	return out
+}
+
+// codeSpace returns min(26^length, limit).
+func codeSpace(length, limit int) int {
+	space := 1
+	for i := 0; i < length && space < limit; i++ {
+		space *= 26
+	}
+	return min(space, limit)
 }
 
 // genNames produces person names sampled with replacement — from a long

@@ -11,8 +11,8 @@ type Options struct {
 	WithDict bool
 	// OutlierSD switches the outlier metric from MAD to SD (ablation).
 	OutlierSD bool
-	// SkipFDSynth drops the FD-synthesis detector (it is the most
-	// expensive; pure four-class runs can omit it).
+	// SkipFDSynth drops the FD-synthesis detector (pure four-class runs
+	// can omit it; it tries some 30 programs on every column pair).
 	SkipFDSynth bool
 }
 

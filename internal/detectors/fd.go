@@ -1,8 +1,7 @@
 package detectors
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 
 	"github.com/unidetect/unidetect/internal/core"
 	"github.com/unidetect/unidetect/internal/evidence"
@@ -26,15 +25,21 @@ func (d *FD) Quantizer() evidence.Quantizer { return evidence.RatioQuantizer{N: 
 // Directions implements core.Detector.
 func (d *FD) Directions() evidence.Directions { return evidence.RatioDirections }
 
-// Measure implements core.Detector.
+// Measure implements core.Detector. Each column is encoded once as
+// first-occurrence integer codes, each lhs column's rows are grouped
+// once, and every candidate pair is counted over the codes: the
+// contingency-count form of FR.
 func (d *FD) Measure(t *table.Table, env *core.Env) (out []core.Measurement) {
 	defer func() { env.CountMeasurements(core.ClassFD, len(out)) }()
 	n := t.NumRows()
 	if n < d.Cfg.MinRows {
 		return nil
 	}
+	fs := newFDScratch(t)
+	eps := d.Cfg.Epsilon(n)
 	pairs := 0
 	for li, lc := range t.Columns {
+		var key feature.Key
 		for ri, rc := range t.Columns {
 			if li == ri {
 				continue
@@ -43,116 +48,218 @@ func (d *FD) Measure(t *table.Table, env *core.Env) (out []core.Measurement) {
 				return out
 			}
 			pairs++
-			if m, ok := d.measurePair(t, li, ri, lc, rc, env); ok {
-				out = append(out, m)
+			if fs.lhs != li {
+				fs.groupBy(li)
+				key = pairKey(lc, li, env)
 			}
+			out = append(out, measurePair(fs, key, lc, rc, ri, eps))
 		}
 	}
 	return out
 }
 
-// frStats summarizes one candidate FD (Cl -> Cr).
-type frStats struct {
-	fr         float64 // FR over distinct tuples (§3.4)
-	violations []int   // minority rows of violating groups
-	groupRows  []int   // all rows of violating groups (for reporting)
-	groups     int     // number of violating lhs groups
+// pairKey is the featurization of the column pairs with lhs column lc
+// at position li (§3.3 applied to the lhs), shared by FD and
+// FD-synthesis and computed once per lhs column.
+func pairKey(lc *table.Column, li int, env *core.Env) feature.Key {
+	return feature.Key{
+		Type: lc.Type(),
+		Rows: feature.RowBucket(lc.Len()),
+		A:    feature.RelPrevalenceBucket(prevalenceOf(env, lc)),
+		B:    feature.LeftnessBucket(li),
+	}
 }
 
-// computeFR evaluates FR_D(Cl, Cr) and the natural perturbation O: within
-// each lhs group carrying more than one rhs value, every row not holding
-// the group's majority rhs is suspect.
-func computeFR(lhs, rhs []string) frStats {
-	type group struct {
-		rhsCount map[string]int
-		rows     map[string][]int
-	}
-	groups := make(map[string]*group)
-	for i := range lhs {
-		g := groups[lhs[i]]
-		if g == nil {
-			g = &group{rhsCount: map[string]int{}, rows: map[string][]int{}}
-			groups[lhs[i]] = g
-		}
-		g.rhsCount[rhs[i]]++
-		g.rows[rhs[i]] = append(g.rows[rhs[i]], i)
-	}
-	var distinctTuples, conformingTuples int
-	var st frStats
-	for _, g := range groups {
-		distinctTuples += len(g.rhsCount)
-		if len(g.rhsCount) == 1 {
-			conformingTuples++
-			continue
-		}
-		st.groups++
-		// Keep the majority rhs (ties broken by first occurrence) and
-		// mark the rest.
-		var majority string
-		best := -1
-		for v, rowList := range g.rows {
-			c := g.rhsCount[v]
-			if c > best || (c == best && rowList[0] < g.rows[majority][0]) {
-				best, majority = c, v
-			}
-		}
-		for v, rowList := range g.rows {
-			st.groupRows = append(st.groupRows, rowList...)
-			if v != majority {
-				st.violations = append(st.violations, rowList...)
-			}
-		}
-	}
-	sort.Ints(st.violations)
-	sort.Ints(st.groupRows)
-	if distinctTuples > 0 {
-		st.fr = float64(conformingTuples) / float64(distinctTuples)
-	}
-	return st
-}
-
-func (d *FD) measurePair(t *table.Table, li, ri int, lc, rc *table.Column, env *core.Env) (core.Measurement, bool) {
-	n := lc.Len()
+// measurePair measures the candidate FD lc → rc against the grouped lhs.
+//
+// alloc-budget: 9 the measurement's column name and detail, and for a valid candidate its reported values
+func measurePair(fs *fdScratch, key feature.Key, lc, rc *table.Column, ri, eps int) core.Measurement {
 	// A candidate FD over an all-distinct lhs is vacuous both ways; it
 	// still contributes denominator mass with FR = 1.
-	st := computeFR(lc.Values, rc.Values)
-	eps := d.Cfg.Epsilon(n)
-	valid := len(st.violations) > 0 && len(st.violations) <= eps
-
+	fc := fs.count(fs.column(ri))
+	fr := fc.fr()
+	valid := fc.violations > 0 && fc.violations <= eps
 	theta2 := 1.0
-	if len(st.violations) > eps {
+	if fc.violations > eps {
 		// Only part of the violations fit the ε budget; approximate the
 		// best achievable FR by conforming tuple count after fixing the
 		// cheapest groups. For evidence purposes the exact greedy order
 		// matters little; we keep θ2 at the unperturbed FR to stay
 		// conservative.
-		theta2 = st.fr
-	}
-	key := feature.Key{
-		Type: lc.Type(),
-		Rows: feature.RowBucket(n),
-		A:    feature.RelPrevalenceBucket(prevalenceOf(env, lc)),
-		B:    feature.LeftnessBucket(li),
+		theta2 = fr
 	}
 	m := core.Measurement{
 		Key:    key,
-		Theta1: st.fr,
+		Theta1: fr,
 		Theta2: theta2,
 		Valid:  valid,
 		Column: lc.Name + "→" + rc.Name,
-		Detail: fmt.Sprintf("FR=%.4f with %d violating group(s)", st.fr, st.groups),
+		Detail: "FR=" + strconv.FormatFloat(fr, 'f', 4, 64) + " with " + strconv.Itoa(fc.groups) + " violating group(s)",
 	}
 	if valid {
 		// Report every row of the violating groups: the detection is
 		// "these rows conflict" (the paper's O of §3.4 contains both
 		// sides of each conflicting pair); which side is wrong is for
 		// the user to judge.
-		m.Rows = st.groupRows
-		for _, r := range st.groupRows {
-			m.Values = append(m.Values, lc.Values[r]+"/"+rc.Values[r])
+		m.Rows = fs.groupRows(fc.groupRows)
+		m.Values = make([]string, len(m.Rows))
+		for i, r := range m.Rows {
+			m.Values[i] = lc.Values[r] + "/" + rc.Values[r]
 		}
 	}
-	return m, true
+	return m
+}
+
+// frCounts summarizes one candidate FD (Cl -> Cr).
+type frCounts struct {
+	tuples     int // distinct (lhs, rhs) tuples
+	conforming int // lhs groups holding a single rhs value
+	groups     int // violating lhs groups: more than one rhs value
+	groupRows  int // rows of the violating groups
+	// violations counts the natural perturbation O: the rows of
+	// violating groups not holding their group's majority rhs.
+	violations int
+}
+
+// fr is FR_D(Cl, Cr) over distinct tuples (§3.4).
+func (fc frCounts) fr() float64 {
+	if fc.tuples == 0 {
+		return 0
+	}
+	return float64(fc.conforming) / float64(fc.tuples)
+}
+
+// fdScratch is one table's FD state: every column encoded once as
+// first-occurrence codes, the current lhs column's rows grouped by code,
+// and the counting arrays of the pair kernel. Once built, counting a
+// pair allocates nothing.
+type fdScratch struct {
+	t     *table.Table
+	ids   map[string]int32
+	codes [][]int32 // per column; nil until first used
+	card  []int     // per column: number of distinct values
+	lhs   int       // column the grouping holds (-1: none)
+	// The rows of lhs group g are rows[start[g]:start[g+1]], ascending.
+	start, next, rows []int32
+	// tally[c] counts rhs code c in the current group while
+	// mark[c] == epoch.
+	mark, tally []int32
+	epoch       int32
+	// bad[g] == stamp marks lhs group g violating in the current pair.
+	bad   []int32
+	stamp int32
+}
+
+// newFDScratch sizes an FD scratch for t.
+//
+// alloc-budget: 10 per-table scratch: value map, column index and counting arrays
+func newFDScratch(t *table.Table) *fdScratch {
+	n, k := t.NumRows(), len(t.Columns)
+	return &fdScratch{
+		t:     t,
+		ids:   make(map[string]int32, n),
+		codes: make([][]int32, k),
+		card:  make([]int, k),
+		lhs:   -1,
+		start: make([]int32, n+1),
+		next:  make([]int32, n),
+		rows:  make([]int32, n),
+		mark:  make([]int32, n),
+		tally: make([]int32, n),
+		bad:   make([]int32, n),
+	}
+}
+
+// column returns column ci's first-occurrence codes, encoding it on
+// first use. Only columns in a measured pair are encoded: MaxFDPairs
+// bounds them, however wide the table.
+//
+// alloc-budget: 1 the column's codes, once per table
+func (s *fdScratch) column(ci int) []int32 {
+	if s.codes[ci] != nil {
+		return s.codes[ci]
+	}
+	codes := make([]int32, s.t.NumRows())
+	clear(s.ids)
+	for row, v := range s.t.Columns[ci].Values {
+		id, seen := s.ids[v]
+		if !seen {
+			id = int32(len(s.ids))
+			s.ids[v] = id
+		}
+		codes[row] = id
+	}
+	s.codes[ci], s.card[ci] = codes, len(s.ids)
+	return codes
+}
+
+// groupBy groups the rows by column li's code: a counting sort, which
+// keeps every group's rows ascending.
+func (s *fdScratch) groupBy(li int) {
+	l := s.column(li)
+	m := s.card[li]
+	start := s.start[:m+1]
+	clear(start)
+	for _, c := range l {
+		start[c+1]++
+	}
+	for g := 1; g <= m; g++ {
+		start[g] += start[g-1]
+	}
+	next := s.next[:m]
+	copy(next, start)
+	for row, c := range l {
+		s.rows[next[c]] = int32(row)
+		next[c]++
+	}
+	s.start, s.lhs = start, li
+}
+
+// count is the pair kernel: FR and its perturbation for the grouped lhs
+// against rhs codes r, by array counting in O(rows). A group's majority
+// is its most frequent rhs value; which of several tied values it is
+// does not change the count of rows off the majority.
+func (s *fdScratch) count(r []int32) frCounts {
+	var fc frCounts
+	s.stamp++
+	for g := 0; g+1 < len(s.start); g++ {
+		s.epoch++
+		rows := s.rows[s.start[g]:s.start[g+1]]
+		distinct, best := 0, int32(0)
+		for _, row := range rows {
+			c := r[row]
+			if s.mark[c] != s.epoch {
+				s.mark[c], s.tally[c] = s.epoch, 0
+				distinct++
+			}
+			s.tally[c]++
+			best = max(best, s.tally[c])
+		}
+		fc.tuples += distinct
+		if distinct == 1 {
+			fc.conforming++
+			continue
+		}
+		fc.groups++
+		fc.groupRows += len(rows)
+		fc.violations += len(rows) - int(best)
+		s.bad[g] = s.stamp
+	}
+	return fc
+}
+
+// groupRows lists, ascending, the rows of the groups the last count
+// found violating; n is their number.
+//
+// alloc-budget: 2 the reported row list, sized exactly, built only for a valid candidate
+func (s *fdScratch) groupRows(n int) []int {
+	out := make([]int, 0, n)
+	for row, g := range s.codes[s.lhs] {
+		if s.bad[g] == s.stamp {
+			out = append(out, row)
+		}
+	}
+	return out
 }
 
 var _ core.Detector = (*FD)(nil)

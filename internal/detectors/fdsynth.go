@@ -1,7 +1,7 @@
 package detectors
 
 import (
-	"fmt"
+	"strconv"
 
 	"github.com/unidetect/unidetect/internal/core"
 	"github.com/unidetect/unidetect/internal/evidence"
@@ -45,8 +45,11 @@ func (d *FDSynth) Measure(t *table.Table, env *core.Env) (out []core.Measurement
 	if n < d.Cfg.MinRows {
 		return nil
 	}
+	eps := d.Cfg.Epsilon(n)
 	pairs := 0
 	for li, lc := range t.Columns {
+		var key feature.Key
+		keyed := false
 		for ri, rc := range t.Columns {
 			if li == ri {
 				continue
@@ -65,17 +68,13 @@ func (d *FDSynth) Measure(t *table.Table, env *core.Env) (out []core.Measurement
 			if _, isID := fit.Program.(synth.Identity); isID {
 				continue
 			}
-			eps := d.Cfg.Epsilon(n)
 			valid := len(fit.Violations) > 0 && len(fit.Violations) <= eps
 			theta2 := 1.0
 			if len(fit.Violations) > eps {
 				theta2 = fit.Conforming
 			}
-			key := feature.Key{
-				Type: lc.Type(),
-				Rows: feature.RowBucket(n),
-				A:    feature.RelPrevalenceBucket(prevalenceOf(env, lc)),
-				B:    feature.LeftnessBucket(li),
+			if !keyed {
+				key, keyed = pairKey(lc, li, env), true
 			}
 			m := core.Measurement{
 				Key:    key,
@@ -83,7 +82,7 @@ func (d *FDSynth) Measure(t *table.Table, env *core.Env) (out []core.Measurement
 				Theta2: theta2,
 				Valid:  valid,
 				Column: lc.Name + "→" + rc.Name,
-				Detail: fmt.Sprintf("program %s conforms %.4f", fit.Program, fit.Conforming),
+				Detail: "program " + fit.Program.String() + " conforms " + strconv.FormatFloat(fit.Conforming, 'f', 4, 64),
 			}
 			if valid {
 				m.Rows = fit.Violations

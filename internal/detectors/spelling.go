@@ -33,20 +33,20 @@ func (d *Spelling) Quantizer() evidence.Quantizer { return evidence.IntQuantizer
 // Directions implements core.Detector (§3.2).
 func (d *Spelling) Directions() evidence.Directions { return evidence.SpellingDirections }
 
-// Measure implements core.Detector.
+// Measure implements core.Detector: the columns share one scratch.
 func (d *Spelling) Measure(t *table.Table, env *core.Env) (out []core.Measurement) {
 	defer func() { env.CountMeasurements(core.ClassSpelling, len(out)) }()
+	sc := core.NewScratch()
 	for pos := range t.Columns {
-		out = append(out, d.MeasureColumn(t, pos, env, nil)...)
+		out = append(out, d.MeasureColumn(t, pos, env, sc)...)
 	}
 	return out
 }
 
 // MeasureColumn implements core.ColumnMeasurer: the single column's
-// share of Measure's output. A nil scratch takes the original
-// allocating MPD scans; a non-nil scratch reuses the worker's rune and
-// DP buffers — the scans themselves visit pairs in the same order
-// either way, so the measurements are identical.
+// share of Measure's output. Both metrics come from one
+// strdist.SpellingMPD pass over the column's distinct values, in the
+// scratch's MPD buffers (a nil scratch gets a fresh one).
 //
 // alloc-budget: 5 token-length featurization, the detail string and the returned measurement
 func (d *Spelling) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *core.Scratch) []core.Measurement {
@@ -60,32 +60,18 @@ func (d *Spelling) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *cor
 		// detector's jurisdiction.
 		return nil
 	}
-	var mpd *strdist.Scratch
-	if sc != nil {
-		mpd = sc.MPD
+	if sc == nil {
+		sc = core.NewScratch()
 	}
-	p, ok := minPairDist(c.Values, d.Cfg.MPDCap, mpd)
-	if !ok {
-		return nil
-	}
-	theta1 := float64(p.Dist)
 	// The natural perturbation drops one value of the MPD pair;
-	// Equation 3 minimizes LR over O, and with the §3.2 orientation
-	// a larger θ2 always yields a smaller LR (Theorem 1), so we keep
-	// the drop that raises MPD the most.
-	q1, ok1 := secondMinPairDist(c.Values, p.I, d.Cfg.MPDCap, mpd)
-	q2, ok2 := secondMinPairDist(c.Values, p.J, d.Cfg.MPDCap, mpd)
-	var theta2 float64
-	switch {
-	case ok1 && ok2:
-		theta2 = float64(max(q1.Dist, q2.Dist))
-	case ok1:
-		theta2 = float64(q1.Dist)
-	case ok2:
-		theta2 = float64(q2.Dist)
-	default:
-		return nil // fewer than 3 distinct values; no perturbed MPD
+	// Equation 3 minimizes LR over O, and with the §3.2 orientation a
+	// larger θ2 always yields a smaller LR (Theorem 1), so θ2 is the
+	// MPD left by the drop that raises it the most.
+	p, mpd2, ok := strdist.SpellingMPD(c.Values, d.Cfg.MPDCap, sc.MPD)
+	if !ok {
+		return nil // fewer than 2 distinct values, or none left after a drop
 	}
+	theta1, theta2 := float64(p.Dist), float64(mpd2)
 	avgLen := strdist.AvgDifferingTokenLen(c.Values[p.I], c.Values[p.J])
 	key := feature.Key{
 		Type: typ,
@@ -113,27 +99,6 @@ func (d *Spelling) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *cor
 		Values: []string{c.Values[p.I], c.Values[p.J]},
 		Detail: detail,
 	}}
-}
-
-// minPairDist routes the MPD scan through the scratch variant when a
-// scratch is available.
-//
-// alloc-budget: 1 only the scratchless reference-oracle branch allocates; the scratch scans budget their grow-once buffers at source
-func minPairDist(vals []string, cap int, sc *strdist.Scratch) (strdist.Pair, bool) {
-	if sc != nil {
-		return strdist.MinPairDistCappedScratch(vals, cap, sc)
-	}
-	return strdist.MinPairDistCapped(vals, cap)
-}
-
-// secondMinPairDist routes the perturbed-MPD scan likewise.
-//
-// alloc-budget: 1 only the scratchless reference-oracle branch allocates; the scratch scans budget their grow-once buffers at source
-func secondMinPairDist(vals []string, drop, cap int, sc *strdist.Scratch) (strdist.Pair, bool) {
-	if sc != nil {
-		return strdist.SecondMinPairDistCappedScratch(vals, drop, cap, sc)
-	}
-	return strdist.SecondMinPairDistCapped(vals, drop, cap)
 }
 
 // bothDictionaryWords reports whether every differing token of the pair is
@@ -173,13 +138,6 @@ func stripDigits(s string) string {
 		}
 	}
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var _ core.ColumnMeasurer = (*Spelling)(nil)

@@ -46,77 +46,8 @@ func LevenshteinBounded(a, b string, maxDist int) (int, bool) {
 	if maxDist < 0 {
 		return maxDist + 1, false
 	}
-	ra, rb := runes(a), runes(b)
-	la, lb := len(ra), len(rb)
-	if abs(la-lb) > maxDist {
-		return maxDist + 1, false
-	}
-	if la == 0 {
-		return lb, true
-	}
-	if lb == 0 {
-		return la, true
-	}
-	// Banded DP: only cells with |i-j| <= maxDist can be <= maxDist.
-	const inf = 1 << 29
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		if j <= maxDist {
-			prev[j] = j
-		} else {
-			prev[j] = inf
-		}
-	}
-	for i := 1; i <= la; i++ {
-		lo := i - maxDist
-		if lo < 1 {
-			lo = 1
-		}
-		hi := i + maxDist
-		if hi > lb {
-			hi = lb
-		}
-		if lo > 1 {
-			cur[lo-1] = inf
-		} else {
-			cur[0] = i
-		}
-		rowMin := inf
-		if lo == 1 {
-			rowMin = cur[0]
-		}
-		for j := lo; j <= hi; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			v := prev[j-1] + cost
-			if j > lo || lo == 1 {
-				if c := cur[j-1] + 1; c < v {
-					v = c
-				}
-			}
-			if p := prev[j] + 1; p < v {
-				v = p
-			}
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if hi < lb {
-			cur[hi+1] = inf
-		}
-		if rowMin > maxDist {
-			return maxDist + 1, false
-		}
-		prev, cur = cur, prev
-	}
-	if prev[lb] > maxDist {
-		return maxDist + 1, false
-	}
-	return prev[lb], true
+	var rows dpRows
+	return rows.banded(runes(a), runes(b), maxDist)
 }
 
 // Pair is an unordered pair of distinct column row indices with their edit
@@ -253,7 +184,7 @@ func fields(s string) []string {
 
 // runes decomposes s into a fresh rune slice.
 //
-// alloc-budget: 2 per-value decomposition; the result is retained in the scratch rune table across both MPD scans
+// alloc-budget: 2 per-call decomposition of LevenshteinBounded, which the MPD kernel does not call
 func runes(s string) []rune {
 	// Fast path for ASCII.
 	ascii := true

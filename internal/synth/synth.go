@@ -8,8 +8,9 @@
 package synth
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Program transforms an input cell value to an output cell value.
@@ -39,7 +40,9 @@ type Concat struct {
 func (c Concat) Apply(in string) (string, bool) { return c.Prefix + in + c.Suffix, true }
 
 // String implements Program.
-func (c Concat) String() string { return fmt.Sprintf("concat(%q, x, %q)", c.Prefix, c.Suffix) }
+func (c Concat) String() string {
+	return "concat(" + strconv.Quote(c.Prefix) + ", x, " + strconv.Quote(c.Suffix) + ")"
+}
 
 // SplitSelect splits x on Sep and returns field Index.
 type SplitSelect struct {
@@ -57,7 +60,9 @@ func (s SplitSelect) Apply(in string) (string, bool) {
 }
 
 // String implements Program.
-func (s SplitSelect) String() string { return fmt.Sprintf("split(x, %q)[%d]", s.Sep, s.Index) }
+func (s SplitSelect) String() string {
+	return "split(x, " + strconv.Quote(s.Sep) + ")[" + strconv.Itoa(s.Index) + "]"
+}
 
 // CaseTransform upper- or lower-cases x.
 type CaseTransform struct{ Upper bool }
@@ -88,10 +93,18 @@ type Fit struct {
 }
 
 // separators tried by split-program enumeration, most specific first.
-var separators = []string{", ", " - ", "/", "-", ": ", ", ", " "}
+var separators = [...]string{", ", " - ", "/", "-", ": ", " "}
 
-// maxSplitIndex bounds the field index tried for split programs.
-const maxSplitIndex = 4
+const (
+	// maxSplitIndex bounds the field index tried for split programs.
+	maxSplitIndex = 4
+	// maxConcats bounds the concatenations derived from example rows.
+	maxConcats = 3
+	// maxCandidates is the most programs Learn tries on one pair:
+	// identity, the two case transforms, the derived concatenations
+	// and every split.
+	maxCandidates = 3 + maxConcats + len(separators)*maxSplitIndex
+)
 
 // Learn searches the program space for the best program mapping xs to ys
 // row-wise, requiring at least minConforming fraction of exact matches.
@@ -101,37 +114,70 @@ const maxSplitIndex = 4
 // The search is programming-by-example in miniature: candidate programs
 // are instantiated from the first non-empty example rows and then
 // verified against all rows, as in FlashFill-style synthesis [45, 62, 81].
+// Candidates are matched against the rows without building their
+// outputs, and only the winner's violating rows are listed.
 func Learn(xs, ys []string, minConforming float64) (Fit, bool) {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		return Fit{}, false
 	}
-	cands := candidates(xs, ys)
+	var buf [maxCandidates]candidate
+	cands := candidates(buf[:0], xs, ys)
 	// A program must reach minConforming; once it has accumulated more
 	// violations than that allows, scoring can stop early.
 	maxViolations := int(float64(len(xs))*(1-minConforming)) + 1
-	best := Fit{Conforming: -1}
-	for _, p := range cands {
-		fit, ok := score(p, xs, ys, maxViolations)
-		if ok && fit.Conforming > best.Conforming {
-			best = fit
+	best, bestConforming := -1, -1.0
+	for i := range cands {
+		if conforming, ok := cands[i].score(xs, ys, maxViolations); ok && conforming > bestConforming {
+			best, bestConforming = i, conforming
 		}
 	}
-	if best.Conforming < minConforming || best.Program == nil {
+	if best < 0 || bestConforming < minConforming {
 		return Fit{}, false
 	}
-	return best, true
+	c := &cands[best]
+	return Fit{Program: c.program(), Conforming: bestConforming, Violations: c.violations(xs, ys)}, true
 }
 
-// candidates instantiates candidate programs from example rows.
-func candidates(xs, ys []string) []Program {
-	var out []Program
-	out = append(out, Identity{}, CaseTransform{Upper: true}, CaseTransform{Upper: false})
+// kind is the program family of a candidate.
+type kind uint8
 
-	// Concat: derive prefix/suffix from up to 3 example rows where x is a
-	// non-empty substring of y.
-	seen := map[string]bool{}
+const (
+	identity kind = iota
+	upper
+	lower
+	concat
+	split
+)
+
+// candidate is a program in the form the scorer matches directly.
+type candidate struct {
+	kind  kind
+	a, b  string // concat: prefix and suffix; split: separator (a)
+	index int    // split: field index
+}
+
+// splitCandidates are the split programs tried on every pair, in
+// order: every separator with every field index.
+var splitCandidates = func() []candidate {
+	var out []candidate
+	for _, sep := range separators {
+		for idx := 0; idx < maxSplitIndex; idx++ {
+			out = append(out, candidate{kind: split, a: sep, index: idx})
+		}
+	}
+	return out
+}()
+
+// candidates appends the candidate programs for a pair to out:
+// identity and the case transforms, up to maxConcats concatenations
+// derived from rows where x is a non-empty substring of y, then the
+// split programs.
+//
+// alloc-budget: 3 appends stay within Learn's fixed-size candidate array
+func candidates(out []candidate, xs, ys []string) []candidate {
+	out = append(out, candidate{kind: identity}, candidate{kind: upper}, candidate{kind: lower})
 	derived := 0
-	for i := 0; i < len(xs) && derived < 3; i++ {
+	for i := 0; i < len(xs) && derived < maxConcats; i++ {
 		x, y := xs[i], ys[i]
 		if x == "" || y == "" {
 			continue
@@ -140,49 +186,154 @@ func candidates(xs, ys []string) []Program {
 		if idx < 0 {
 			continue
 		}
-		c := Concat{Prefix: y[:idx], Suffix: y[idx+len(x):]}
-		key := "c\x00" + c.Prefix + "\x00" + c.Suffix
-		if !seen[key] {
-			seen[key] = true
+		c := candidate{kind: concat, a: y[:idx], b: y[idx+len(x):]}
+		dup := false
+		for _, d := range out[3:] {
+			dup = dup || sameConcatKey(d.a, d.b, c.a, c.b)
+		}
+		if !dup {
 			out = append(out, c)
 			derived++
 		}
 	}
-
-	// SplitSelect: enumerate separators and indices bounded by examples.
-	for _, sep := range separators {
-		for idx := 0; idx < maxSplitIndex; idx++ {
-			key := fmt.Sprintf("s\x00%s\x00%d", sep, idx)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, SplitSelect{Sep: sep, Index: idx})
-		}
-	}
-	return out
+	return append(out, splitCandidates...)
 }
 
-func score(p Program, xs, ys []string, maxViolations int) (Fit, bool) {
-	fit := Fit{Program: p}
-	scored := 0
+// sameConcatKey reports whether two concatenations share the dedupe key
+// prefix+"\x00"+suffix without building it. The key differs from
+// comparing the affixes only when they hold NUL bytes.
+func sameConcatKey(p1, s1, p2, s2 string) bool {
+	if len(p1)+len(s1) != len(p2)+len(s2) {
+		return false
+	}
+	if len(p1) > len(p2) {
+		p1, s1, p2, s2 = p2, s2, p1, s1
+	}
+	if len(p1) == len(p2) {
+		return p1 == p2 && s1 == s2
+	}
+	// p2 = p1 + "\x00" + mid and s1 = mid + "\x00" + s2.
+	mid := p2[len(p1)+1:]
+	return p2[:len(p1)] == p1 && p2[len(p1)] == 0 &&
+		s1[:len(mid)] == mid && s1[len(mid)] == 0 && s1[len(mid)+1:] == s2
+}
+
+// program returns the candidate as a Program.
+func (c *candidate) program() Program {
+	switch c.kind {
+	case identity:
+		return Identity{}
+	case upper:
+		return CaseTransform{Upper: true}
+	case lower:
+		return CaseTransform{Upper: false}
+	case concat:
+		return Concat{Prefix: c.a, Suffix: c.b}
+	}
+	return SplitSelect{Sep: c.a, Index: c.index}
+}
+
+// score returns the fraction of scored rows the candidate reproduces,
+// or ok=false once it has more than maxViolations violations.
+func (c *candidate) score(xs, ys []string, maxViolations int) (conforming float64, ok bool) {
+	scored, violations := 0, 0
 	for i := range xs {
 		if xs[i] == "" && ys[i] == "" {
 			continue
 		}
 		scored++
-		got, ok := p.Apply(xs[i])
-		if !ok || got != ys[i] {
-			fit.Violations = append(fit.Violations, i)
-			if len(fit.Violations) > maxViolations {
-				return Fit{}, false
+		if !c.matches(xs[i], ys[i]) {
+			if violations++; violations > maxViolations {
+				return 0, false
 			}
 		}
 	}
 	if scored == 0 {
-		fit.Conforming = 0
-		return fit, true
+		return 0, true
 	}
-	fit.Conforming = float64(scored-len(fit.Violations)) / float64(scored)
-	return fit, true
+	return float64(scored-violations) / float64(scored), true
+}
+
+// violations lists the scored rows the candidate does not reproduce.
+//
+// alloc-budget: 1 the winner's violating rows, returned in the fit
+func (c *candidate) violations(xs, ys []string) []int {
+	var out []int
+	for i := range xs {
+		if (xs[i] != "" || ys[i] != "") && !c.matches(xs[i], ys[i]) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// matches reports whether the candidate maps x to exactly y, as
+// Apply(x) == (y, true) would, without building Apply's output.
+func (c *candidate) matches(x, y string) bool {
+	switch c.kind {
+	case identity:
+		return x == y
+	case upper, lower:
+		return caseMatches(x, y, c.kind == upper)
+	case concat:
+		return len(y) == len(c.a)+len(x)+len(c.b) &&
+			strings.HasPrefix(y, c.a) && strings.HasSuffix(y, c.b) && y[len(c.a):len(c.a)+len(x)] == x
+	}
+	return splitMatches(x, y, c.a, c.index)
+}
+
+// caseMatches reports whether upper- (or lower-) casing x gives y,
+// comparing bytes for ASCII x and deferring to strings.ToUpper/ToLower
+// otherwise.
+func caseMatches(x, y string, up bool) bool {
+	for i := 0; i < len(x); i++ {
+		if x[i] >= utf8.RuneSelf {
+			if up {
+				return strings.ToUpper(x) == y
+			}
+			return strings.ToLower(x) == y
+		}
+	}
+	if len(x) != len(y) {
+		return false
+	}
+	for i := 0; i < len(x); i++ {
+		c := x[i]
+		switch {
+		case up && 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		case !up && 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		}
+		if c != y[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// splitMatches reports whether field index of strings.Split(x, sep)
+// exists, x has at least two fields, and the field is y — walking the
+// separators instead of splitting.
+func splitMatches(x, y, sep string, index int) bool {
+	end := strings.Index(x, sep)
+	if end < 0 || index < 0 {
+		return false
+	}
+	start := 0
+	for k := 0; k < index; k++ {
+		if end < 0 {
+			return false
+		}
+		start = end + len(sep)
+		if next := strings.Index(x[start:], sep); next >= 0 {
+			end = start + next
+		} else {
+			end = -1
+		}
+	}
+	if end < 0 {
+		end = len(x)
+	}
+	return x[start:end] == y
 }
