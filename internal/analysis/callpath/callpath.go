@@ -7,7 +7,7 @@
 // analyzer three reusable pieces:
 //
 //   - a RootSet: a parsed declaration of hot entry points
-//     ("internal/core.Predictor.detectFast"), matched against *types.Func
+//     ("internal/core.Predictor.detectAllFast"), matched against *types.Func
 //     objects by package-path suffix, receiver type and name, with "*"
 //     wildcards for the receiver and name positions;
 //
@@ -26,8 +26,8 @@
 //
 //   - ReachableFrom: a breadth-first walk from the in-package root
 //     functions, returning for every reachable function the trace back
-//     to its root (for human-readable "reachable from detectFast via
-//     measureColumn" diagnostics).
+//     to its root (for human-readable "reachable from detectAllFast via
+//     measureUnit" diagnostics).
 //
 // The engine itself reports nothing; it is a library, not an analyzer,
 // and is exempt from the registry completeness check.
@@ -45,22 +45,23 @@ import (
 
 // DefaultHotRoots is the serving hot-root set shared by the hotalloc and
 // hotpanic analyzers: the fast-path entry points of §2.2.3 serving
-// (predict, measure, index lookup, the spelling detector's MPD kernel,
-// measurement-cache probes), the /v1/batch coalescer's leader path,
-// which runs once per coalesced group under request latency, and the
-// streaming scan path (the per-chunk driver loop plus every colstore
-// decoder's Next, which runs once per chunk of an arbitrarily long
-// stream).
+// (the DetectAll pool, measure, index lookup, the spelling detector's
+// MPD kernel, measurement-cache probes), the /v1/batch coalescer's
+// leader path, which runs once per coalesced group under request
+// latency, and the streaming scan (SourceScan's per-chunk Fold and
+// end-of-stream Finish, which DetectSource and the job store both
+// drive, plus every colstore decoder's Next, which runs once per chunk
+// of an arbitrarily long stream).
 // README.md ("Development") documents how to extend it.
-const DefaultHotRoots = "internal/core.Predictor.detectFast," +
-	"internal/core.Predictor.detectAllFast," +
+const DefaultHotRoots = "internal/core.Predictor.detectAllFast," +
 	"internal/core.Predictor.measureUnit," +
 	"internal/core.measureCache.get," +
 	"internal/core.measureCache.getTable," +
 	"internal/lrindex.Index.LR," +
 	"internal/strdist.SpellingMPD," +
 	"internal/detectors.*.MeasureColumn," +
-	"internal/core.Predictor.scanChunks," +
+	"internal/core.SourceScan.Fold," +
+	"internal/core.SourceScan.Finish," +
 	"internal/colstore.*.Next," +
 	"internal/serving.coalescer.join"
 
@@ -302,8 +303,8 @@ func (g *Graph) ReachableFrom(isRoot func(*types.Func) bool) map[*types.Func]*Tr
 }
 
 // Describe renders a trace as a human-readable suffix for diagnostics:
-// "hot root detectFast" for roots, "reachable from hot root detectFast
-// via measureColumn" otherwise.
+// "hot root detectAllFast" for roots, "reachable from hot root
+// detectAllFast via measureUnit" otherwise.
 func (t *Trace) Describe() string {
 	if t.From == nil {
 		return "hot root " + FuncName(t.Root)
@@ -332,9 +333,10 @@ type RootSet struct {
 // type name ("*" matches any receiver, "" matches package functions),
 // and function name ("*" matches any).
 type rootSpec struct {
-	pkg  string
-	recv string
-	name string
+	entry string // the declaration as written, for diagnostics
+	pkg   string
+	recv  string
+	name  string
 }
 
 // ParseRoots parses a comma-separated root declaration list. Each entry
@@ -356,7 +358,7 @@ func ParseRoots(s string) (*RootSet, error) {
 		if len(parts) < 2 || len(parts) > 3 {
 			return nil, fmt.Errorf("callpath: root %q: want pkg/path.Func or pkg/path.Recv.Method", entry)
 		}
-		sp := rootSpec{pkg: entry[:slash+1] + parts[0]}
+		sp := rootSpec{entry: entry, pkg: entry[:slash+1] + parts[0]}
 		if len(parts) == 2 {
 			sp.name = parts[1]
 		} else {
@@ -378,20 +380,45 @@ func (rs *RootSet) Match(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	path := fn.Pkg().Path()
-	recv := receiverName(fn)
 	for _, sp := range rs.specs {
-		if !pathSuffix(path, sp.pkg) {
-			continue
-		}
-		if sp.name != "*" && sp.name != fn.Name() {
-			continue
-		}
-		if sp.recv == "*" || sp.recv == recv {
+		if sp.match(fn) {
 			return true
 		}
 	}
 	return false
+}
+
+func (sp rootSpec) match(fn *types.Func) bool {
+	return pathSuffix(fn.Pkg().Path(), sp.pkg) &&
+		(sp.name == "*" || sp.name == fn.Name()) &&
+		(sp.recv == "*" || sp.recv == receiverName(fn))
+}
+
+// ReportStale reports, at the package clause of the pass's first file,
+// every root entry without wildcards that names the pass's package but
+// matches none of the functions g declares. Such a root — left behind
+// when its function was renamed or deleted — matches nothing, so the hot
+// set it guarded would otherwise shrink silently.
+func (rs *RootSet) ReportStale(pass *analysis.Pass, g *Graph) {
+	if len(pass.Files) == 0 {
+		return
+	}
+	for _, sp := range rs.specs {
+		if sp.name == "*" || sp.recv == "*" || !pathSuffix(pass.Pkg.Path(), sp.pkg) {
+			continue
+		}
+		found := false
+		for _, n := range g.Nodes {
+			if sp.match(n.Obj) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			pass.Reportf(pass.Files[0].Package,
+				"hot root %s names no function declared in package %s; update the root set", sp.entry, pass.Pkg.Name())
+		}
+	}
 }
 
 // receiverName returns the bare (pointer-stripped) receiver type name of

@@ -45,7 +45,7 @@ func TestParseRoots(t *testing.T) {
 			t.Errorf("ParseRoots(%q): want error, got nil", bad)
 		}
 	}
-	rs, err := callpath.ParseRoots("internal/core.Predictor.detectFast, internal/strdist.SpellingMPD")
+	rs, err := callpath.ParseRoots("internal/core.Predictor.detectAllFast, internal/strdist.SpellingMPD")
 	if err != nil {
 		t.Fatalf("ParseRoots: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestDefaultHotRootsParse(t *testing.T) {
 	if _, err := callpath.ParseRoots(callpath.DefaultHotRoots); err != nil {
 		t.Fatalf("DefaultHotRoots does not parse: %v", err)
 	}
-	for _, want := range []string{"detectFast", "detectAllFast", "measureUnit", "Index.LR", "strdist.SpellingMPD", "MeasureColumn", "scanChunks", "colstore.*.Next"} {
+	for _, want := range []string{"detectAllFast", "measureUnit", "Index.LR", "strdist.SpellingMPD", "MeasureColumn", "SourceScan.Fold", "SourceScan.Finish", "colstore.*.Next"} {
 		if !strings.Contains(callpath.DefaultHotRoots, want) {
 			t.Errorf("DefaultHotRoots is missing %s", want)
 		}

@@ -10,11 +10,11 @@
 //
 // It builds the package's call graph with internal/analysis/callpath,
 // marks every function reachable from the declared hot roots (-roots,
-// defaulting to callpath.DefaultHotRoots: detectFast/detectAllFast/
-// measureUnit, the measurement-cache probes, lrindex.Index.LR, the
-// spelling MPD kernel strdist.SpellingMPD, and every detector
-// MeasureColumn), and flags each heap-allocating construct in a hot
-// function:
+// defaulting to callpath.DefaultHotRoots: detectAllFast/measureUnit,
+// SourceScan.Fold/Finish, the measurement-cache probes,
+// lrindex.Index.LR, the spelling MPD kernel strdist.SpellingMPD, and
+// every detector MeasureColumn), and flags each heap-allocating
+// construct in a hot function:
 //
 //   - make / new / append (growth);
 //   - slice and map composite literals, and heap-escaping &T{...};
@@ -51,6 +51,11 @@
 // Where the fix is mechanical — fmt.Sprintf("%d", x) on an int — the
 // diagnostic carries a SuggestedFix to strconv.Itoa (one allocation for
 // the digits instead of boxing plus formatter state plus result).
+//
+// A root entry without wildcards that names no function of its package
+// (callpath.RootSet.ReportStale) is itself a diagnostic: a root left behind by
+// a rename matches nothing, and the hot set it guarded would shrink
+// without a sound.
 package hotalloc
 
 import (
@@ -127,6 +132,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return nil, err
 	}
 	g := callpath.Build(pass, callpath.Options{})
+	roots.ReportStale(pass, g)
 	reach := g.ReachableFrom(roots.Match)
 
 	type funcInfo struct {

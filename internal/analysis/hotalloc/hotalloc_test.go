@@ -12,12 +12,14 @@ import (
 )
 
 // setFlags lifts the module scoping (testdata packages live outside the
-// module prefix) and points the hot-root set at the fixture packages.
+// module prefix) and points the hot-root set at the fixture packages —
+// including two stale roots the "stale" fixture expects reported.
 func setFlags(t *testing.T) {
 	t.Helper()
 	for flag, val := range map[string]string{
-		"all":   "true",
-		"roots": "a.Serve,budget.*,clean.Serve,xpkg.Probe,fixable.Render,suppressedfix.Render",
+		"all": "true",
+		"roots": "a.Serve,budget.*,clean.Serve,xpkg.Probe,fixable.Render,suppressedfix.Render," +
+			"stale.Serve,stale.Server.Handle,stale.Gone,stale.Server.Missing,stale.*.Any",
 	} {
 		if err := hotalloc.Analyzer.Flags.Set(flag, val); err != nil {
 			t.Fatal(err)
@@ -27,7 +29,7 @@ func setFlags(t *testing.T) {
 
 func TestHotalloc(t *testing.T) {
 	setFlags(t)
-	analysistest.Run(t, analysistest.TestData(), hotalloc.Analyzer, "a", "clean", "budget", "xpkg")
+	analysistest.Run(t, analysistest.TestData(), hotalloc.Analyzer, "a", "clean", "budget", "xpkg", "stale")
 }
 
 // TestHotallocFixes applies the Sprintf→Itoa SuggestedFix, compares the

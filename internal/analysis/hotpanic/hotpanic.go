@@ -23,6 +23,9 @@
 //     "panics" fact (exported, transitively, for functions whose
 //     unrecovered explicit panics could escape to callers).
 //
+// Like hotalloc, it reports a root entry without wildcards that names no
+// function of its package (callpath.RootSet.ReportStale).
+//
 // The guard heuristic is position-insensitive by design: proving
 // dominance statically is out of scope, and a function that mentions
 // len(x) in a comparison has at least thought about emptiness. Asserts
@@ -91,6 +94,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return nil, err
 	}
 	g := callpath.Build(pass, callpath.Options{})
+	roots.ReportStale(pass, g)
 	reach := g.ReachableFrom(roots.Match)
 
 	type funcInfo struct {

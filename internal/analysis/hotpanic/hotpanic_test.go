@@ -12,12 +12,14 @@ import (
 )
 
 // setFlags lifts the module scoping (testdata packages live outside the
-// module prefix) and points the hot-root set at the fixture packages.
+// module prefix) and points the hot-root set at the fixture packages —
+// including two stale roots the "stale" fixture expects reported.
 func setFlags(t *testing.T) {
 	t.Helper()
 	for flag, val := range map[string]string{
-		"all":   "true",
-		"roots": "a.Serve,clean.Serve,xpkg.Probe,fixable.Render",
+		"all": "true",
+		"roots": "a.Serve,clean.Serve,xpkg.Probe,fixable.Render," +
+			"stale.Serve,stale.Server.Handle,stale.Gone,stale.Server.Missing,stale.*.Any",
 	} {
 		if err := hotpanic.Analyzer.Flags.Set(flag, val); err != nil {
 			t.Fatal(err)
@@ -27,7 +29,7 @@ func setFlags(t *testing.T) {
 
 func TestHotpanic(t *testing.T) {
 	setFlags(t)
-	analysistest.Run(t, analysistest.TestData(), hotpanic.Analyzer, "a", "clean", "xpkg")
+	analysistest.Run(t, analysistest.TestData(), hotpanic.Analyzer, "a", "clean", "xpkg", "stale")
 }
 
 // TestHotpanicFixes applies the comma-ok SuggestedFix, compares the

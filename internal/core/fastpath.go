@@ -7,17 +7,17 @@ import (
 	"sync/atomic"
 
 	"github.com/unidetect/unidetect/internal/lrindex"
-	"github.com/unidetect/unidetect/internal/obs"
 	"github.com/unidetect/unidetect/internal/stats"
 	"github.com/unidetect/unidetect/internal/table"
 )
 
 // This file implements the serving fast path: the compact LR index in
 // place of nested map lookups, column-granular work units in place of
-// table shards, per-worker scratch buffers, and the per-column
-// measurement cache. The reference path (predict.go) stays intact as
-// the oracle; Predictor.Reference selects it, and internal/difftest
-// holds the two paths to byte-identical findings.
+// table shards, pooled scratch buffers, the per-column measurement
+// cache, and score, the one scoring kernel both drivers (DetectAll and
+// SourceScan) share. Predictor.Reference swaps the kernel for the plain
+// referenceScore (predict.go), and internal/difftest holds the two to
+// byte-identical findings.
 
 // BuildIndex compiles a trained model into the compact serving index
 // (internal/lrindex). The model's grids must already be finalized —
@@ -102,19 +102,19 @@ func (p *Predictor) measureCacheInit() *measureCache {
 // getScratch hands out a worker scratch, reusing a pooled one when the
 // pool has any.
 func (p *Predictor) getScratch() *Scratch {
-	if v := p.scratches.Get(); v != nil {
+	if sc, ok := p.scratches.Get().(*Scratch); ok {
 		p.metrics().scratchReuse.Inc()
-		return v.(*Scratch)
+		return sc
 	}
 	return NewScratch()
 }
 
-// scoreState accumulates one table's findings with the same
-// cross-candidate dedup the reference path applies: per (class, row
-// set), keep the most confident finding. The state lives inside a
-// Scratch (or on the batch assembler's stack) and is reset per table,
-// carrying its map buckets, key order and key buffer from table to
-// table.
+// scoreState accumulates one table's (or one stream's) findings with
+// the cross-candidate dedup of DetectAll: per (class, row set), keep the
+// most confident finding. DetectAll's assembly pass borrows the one in a
+// pooled Scratch and resets it per table, carrying its map buckets, key
+// order and key buffer from table to table; a SourceScan owns one for
+// the whole stream.
 type scoreState struct {
 	best   map[string]Finding
 	order  []string
@@ -132,12 +132,14 @@ func (st *scoreState) reset() {
 	st.order = st.order[:0]
 }
 
-// add scores valid measurements of det against the compact index and
-// folds survivors into the dedup state. The filter, metrics and dedup
-// preference replicate the reference Detect loop exactly.
+// score is the scoring kernel of both drivers: it looks up the LR of
+// every valid measurement of det (taken on table name) in the compact
+// index, keeps those with LR <= Alpha, rebases their rows through rm,
+// and folds them into st with DetectAll's dedup preference.
+// referenceScore is its oracle.
 //
 // alloc-budget: 4 dedup keys intern on first sight or on a better finding; map probes convert without copying
-func (p *Predictor) add(st *scoreState, t *table.Table, det Detector, ms []Measurement) {
+func (p *Predictor) score(st *scoreState, name string, det Detector, ms []Measurement, rm rowMap) {
 	if len(ms) == 0 {
 		return
 	}
@@ -158,11 +160,12 @@ func (p *Predictor) add(st *scoreState, t *table.Table, det Detector, ms []Measu
 			continue
 		}
 		pm.findings.With(cls.String()).Inc()
+		rows := rm.apply(meas.Rows)
 		f := Finding{
 			Class:   cls,
-			Table:   t.Name,
+			Table:   name,
 			Column:  meas.Column,
-			Rows:    meas.Rows,
+			Rows:    rows,
 			Values:  meas.Values,
 			LR:      lr,
 			Theta1:  meas.Theta1,
@@ -170,7 +173,7 @@ func (p *Predictor) add(st *scoreState, t *table.Table, det Detector, ms []Measu
 			Support: support,
 			Detail:  meas.Detail,
 		}
-		st.keyBuf = appendDedupKey(st.keyBuf[:0], cls, meas.Rows)
+		st.keyBuf = appendDedupKey(st.keyBuf[:0], cls, rows)
 		prev, seen := st.best[string(st.keyBuf)]
 		switch {
 		case !seen:
@@ -183,8 +186,7 @@ func (p *Predictor) add(st *scoreState, t *table.Table, det Detector, ms []Measu
 	}
 }
 
-// findings returns the deduplicated findings in first-seen order — the
-// same order the reference Detect emits.
+// findings returns the deduplicated findings in first-seen order.
 //
 // alloc-budget: 2 result slice is returned to the caller and cannot be pooled
 func (st *scoreState) findings() []Finding {
@@ -199,7 +201,7 @@ func (st *scoreState) findings() []Finding {
 // consulting the memoization cache first. Measurement counts are
 // reported here, once per column, whether served from cache or
 // computed — keeping the per-class totals identical to the reference
-// path's per-table counting.
+// path, where Detector.Measure counts per table.
 func (p *Predictor) measureColumn(cmr ColumnMeasurer, t *table.Table, pos int, sc *Scratch) []Measurement {
 	cls := cmr.Class()
 	c := t.Columns[pos]
@@ -239,28 +241,6 @@ func (p *Predictor) measureTable(det Detector, t *table.Table) []Measurement {
 	return ms
 }
 
-// detectFast scores one table through the compact index with a single
-// scratch — the fast counterpart of detectReference, used by Detect and
-// by the daemon's single-table endpoints.
-func (p *Predictor) detectFast(t *table.Table, sc *Scratch) []Finding {
-	pm := p.metrics()
-	pm.tables.Inc()
-	st := &sc.score
-	st.reset()
-	for _, det := range p.Detectors {
-		detStart := p.Obs.Now()
-		if cmr, ok := det.(ColumnMeasurer); ok {
-			for pos := range t.Columns {
-				p.add(st, t, det, p.measureColumn(cmr, t, pos, sc))
-			}
-		} else {
-			p.add(st, t, det, p.measureTable(det, t))
-		}
-		pm.detSeconds.With(det.Class().String()).Observe((p.Obs.Now() - detStart).Seconds())
-	}
-	return st.findings()
-}
-
 // fastUnit is one schedulable measurement of the batched pipeline: a
 // single column of a column-granular detector, or a whole table for
 // pair detectors (col == -1).
@@ -270,10 +250,10 @@ type fastUnit struct {
 	col int // column position, or -1 for a table-level unit
 }
 
-// admitTable runs the per-table chaos gate of the batch scan. It hits
-// the same injection site, with the same per-site ordinal, as the
-// reference detectShard, so a chaos schedule drops the same tables on
-// both paths.
+// admitTable runs the per-table chaos gate of DetectAll. Both paths
+// run it over the call's tables in order before any measuring, so a
+// chaos schedule hits each site with the same per-site ordinals and
+// drops the same tables on both.
 //
 // alloc-budget: 4 chaos admission gate: recover shield and degradation logging, called only under fault injection
 func (p *Predictor) admitTable(ctx context.Context, t *table.Table) (ok bool) {
@@ -292,33 +272,22 @@ func (p *Predictor) admitTable(ctx context.Context, t *table.Table) (ok bool) {
 	return true
 }
 
-// detectAllFast is the batched fast path: every admitted table of the
-// request is decomposed into column-granular units, a bounded worker
-// pool measures them with per-worker scratch (so one wide table spreads
-// across the pool, and /v1/batch requests coalesced into one call batch
-// columns across requests), and a sequential assembly pass scores the
-// results through the compact index in the reference path's exact
-// order. Findings are therefore byte-identical to the reference path
-// regardless of worker interleaving.
+// detectAllFast is the batched fast path of DetectAll: every admitted
+// table (skip marks the others) is decomposed into column-granular
+// units, a bounded worker pool measures them with pooled scratch (so one
+// wide table spreads across the pool, and /v1/batch requests coalesced
+// into one call batch columns across requests), and a sequential
+// assembly pass scores the results through the kernel in declared
+// detector and column order. Findings are therefore byte-identical to
+// the reference regardless of worker interleaving.
 //
-// alloc-budget: 13 per-batch pipeline setup: unit layout, result buffers, worker pool and assembly output, amortized over every column of the call
-func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table) []Finding {
-	sp := obs.StartSpan(ctx, "core/detect_all")
-	sp.Tag("tables", len(tables))
-	sp.Tag("path", "indexed")
-	defer sp.End()
+// alloc-budget: 10 per-batch pipeline setup: unit layout, result buffers, worker pool and assembly output, amortized over every column of the call
+func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table, skip []bool) []Finding {
 	pm := p.metrics()
 
-	skip := make([]bool, len(tables))
-	if p.Inject != nil {
-		for i, t := range tables {
-			skip[i] = !p.admitTable(ctx, t)
-		}
-	}
-
 	// Units are laid out table-major, detectors in declared order,
-	// columns in position order — the measurement order of the reference
-	// path — so assembly is a single forward walk.
+	// columns in position order — the order the reference measures in —
+	// so assembly is a single forward walk.
 	var units []fastUnit
 	for ti, t := range tables {
 		if skip[ti] {
@@ -365,7 +334,8 @@ func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table) []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := NewScratch()
+			sc := p.getScratch()
+			defer p.scratches.Put(sc)
 			first := true
 			for ui := range next {
 				if first {
@@ -383,10 +353,12 @@ func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table) []
 	wg.Wait()
 
 	// Sequential assembly: walk the unit layout per table, score through
-	// the index, dedup exactly as the reference per-table loop does. One
-	// score state serves every table of the batch, reset between them.
+	// the kernel, dedup exactly as the reference does. One pooled score
+	// state serves every table of the batch, reset between them.
 	var out []Finding
-	var st scoreState
+	sc := p.getScratch()
+	defer p.scratches.Put(sc)
+	st := &sc.score
 	ui := 0
 	for ti, t := range tables {
 		if skip[ti] {
@@ -402,7 +374,7 @@ func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table) []
 			var sec float64
 			consume := func() {
 				if !bad {
-					p.add(&st, t, det, results[ui])
+					p.score(st, t.Name, det, results[ui], nil)
 				}
 				sec += durs[ui]
 				ui++
@@ -427,9 +399,8 @@ func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table) []
 }
 
 // measureUnit measures one unit, shielding the batch from detector
-// panics when chaos injection is live (the batch analogue of
-// detectShard's recover): the panicking table is poisoned and yields no
-// findings instead of crashing the scan.
+// panics when chaos injection is live: the panicking table is poisoned
+// and yields no findings instead of crashing the scan.
 //
 // alloc-budget: 2 panic shield closure and its log boxing, armed only under fault injection
 func (p *Predictor) measureUnit(t *table.Table, u fastUnit, sc *Scratch, poison *atomic.Bool) (ms []Measurement) {

@@ -102,10 +102,6 @@ func addGrid(acc, src *evidence.Grid) (*evidence.Grid, error) {
 	return acc, nil
 }
 
-// MergeModels combines the evidence of two models — the binary special
-// case of Merge, kept for the public API.
-func MergeModels(a, b *Model) (*Model, error) { return Merge(a, b) }
-
 // NewEmptyModel returns the identity element of Merge for a given
 // configuration and detector set: a model with zero evidence whose merge
 // into any same-shaped model reproduces that model byte for byte.

@@ -54,10 +54,12 @@ type predictMetrics struct {
 	ixLookups    *obs.CounterVec
 	cacheOps     *obs.CounterVec
 	scratchReuse *obs.Counter
-	// Streaming-scan instrumentation (DetectSource). Chunk and byte
-	// counters are deterministic for a given source; the latency
-	// histogram is wall-clock and excluded from baselines.
-	scanChunks       *obs.Counter
+	// Streaming-scan instrumentation (SourceScan, so DetectSource and
+	// jobs alike). Chunk and byte counters count every consumed chunk,
+	// folded or degraded, and are deterministic for a given source; the
+	// latency histogram times Fold, is wall-clock and is excluded from
+	// baselines.
+	chunksScanned    *obs.Counter
 	scanBytes        *obs.Counter
 	scanDegraded     *obs.Counter
 	scanChunkSeconds *obs.Histogram
@@ -88,14 +90,14 @@ func newPredictMetrics(r *obs.Registry) predictMetrics {
 			"result"),
 		scratchReuse: r.Counter("unidetect_predict_scratch_reuse_total",
 			"Measurement units served by a reused worker scratch buffer."),
-		scanChunks: r.Counter("unidetect_scan_chunks_total",
-			"Chunks pulled from streaming sources by DetectSource."),
+		chunksScanned: r.Counter("unidetect_scan_chunks_total",
+			"Chunks consumed by streaming scans (DetectSource and jobs), folded or degraded."),
 		scanBytes: r.Counter("unidetect_scan_bytes_total",
 			"Cell payload bytes streamed out of chunked sources."),
 		scanDegraded: r.Counter("unidetect_scan_degraded_chunks_total",
 			"Chunks dropped by graceful degradation during streaming scans."),
 		scanChunkSeconds: r.Histogram("unidetect_scan_chunk_seconds",
-			"Per-chunk streaming scan latency (measure plus scoring).", nil),
+			"Per-chunk streaming scan latency of folded chunks (measure plus scoring).", nil),
 	}
 }
 

@@ -47,6 +47,8 @@ func (cm *ClassModel) Samples() int64 {
 // still have near-empty conditional slices, and an LR estimated on a
 // handful of denominators is noise. NoFeaturize short-circuits to the
 // global grid — the §2.2.2 ablation.
+//
+// alloc-budget: 1 a grid read finalizes an unfinalized grid's prefix sums once; trained, merged and loaded models are already finalized
 func (cm *ClassModel) lookup(key feature.Key, cfg Config, b2 int) *evidence.Grid {
 	if cfg.NoFeaturize {
 		return cm.Global
@@ -75,7 +77,10 @@ type Model struct {
 
 // LR scores one measurement of class c, returning the likelihood ratio and
 // the denominator support. Missing classes score 1 (no evidence, not
-// surprising).
+// surprising). It is PAPER.md §1's LR evaluated from the model's maps,
+// the reference the compact lrindex.Index reproduces bit for bit.
+//
+// alloc-budget: 3 grid reads finalize an unfinalized grid's prefix sums once; trained, merged and loaded models are already finalized
 func (m *Model) LR(c Class, det Detector, meas Measurement) (lr float64, support int64) {
 	cm := m.Classes[c]
 	if cm == nil {

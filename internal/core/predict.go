@@ -15,6 +15,11 @@ import (
 // Predictor pairs a trained model with the detector instantiations it was
 // trained with, and scores new tables at interactive speed (§2.2.3: online
 // prediction is metric computation plus a lookup).
+//
+// It has two drivers: DetectAll for in-memory tables (a column-granular
+// worker pool, fastpath.go) and SourceScan for streams (scan.go), which
+// DetectSource and the async job store both drive. Both score through one
+// kernel, Predictor.score.
 type Predictor struct {
 	Model     *Model
 	Detectors []Detector
@@ -30,11 +35,12 @@ type Predictor struct {
 	// Obs, when non-nil, receives prediction metrics: per-detector
 	// latency and LR histograms, finding and degraded-table counters.
 	Obs *obs.Registry
-	// Reference forces the original map-backed scoring and
-	// table-granular pipeline. It is the oracle of the differential
-	// harness (internal/difftest): the fast path — compact LR index,
-	// column-granular batching, scratch reuse, measurement memoization —
-	// must produce byte-identical findings to this path.
+	// Reference swaps the scoring kernel for referenceScore, the plain
+	// oracle of the differential harness (internal/difftest): each
+	// detector's own Measure, the model's map-backed LR and string dedup
+	// keys, with no LR index, measurement cache, worker pool or shared
+	// scratch. The drivers, chaos admission and row rebasing stay the
+	// same, and the fast path must produce byte-identical findings.
 	Reference bool
 	// CacheSize overrides the per-column measurement cache budget
 	// (total entries across shards): 0 means the default, negative
@@ -59,7 +65,8 @@ type Predictor struct {
 	cacheReady atomic.Bool
 	// cache is resolved from CacheSize on first fast-path use.
 	cache *measureCache
-	// scratches pools per-call scratch buffers for single-table Detect.
+	// scratches pools the scratch buffers of every driver: DetectAll's
+	// workers and assembly pass, and each SourceScan.Fold.
 	scratches sync.Pool
 }
 
@@ -70,78 +77,94 @@ func NewPredictor(m *Model, detectors []Detector, env *Env) *Predictor {
 	return &Predictor{Model: m, Detectors: detectors, Env: env}
 }
 
-// Detect scores one table and returns its findings (unsorted; callers
-// ranking across tables sort once at the end). Only measurements with a
-// valid perturbation and LR <= Alpha become findings.
+// DetectAll scores many tables and returns all findings ranked by
+// ascending LR. Only measurements with a valid perturbation and
+// LR <= Alpha become findings.
 //
 // One underlying error can surface through several candidates — a
 // duplicated key value violates the candidate FD from the key to every
 // other column — so findings of the same class flagging the same row set
-// are deduplicated, keeping the most confident (smallest LR).
+// within one table are deduplicated, keeping the most confident
+// (smallest LR).
 //
-// By default Detect scores through the compact LR index with pooled
-// scratch buffers (fastpath.go); Reference selects the original
-// map-backed path below, which internal/difftest holds the fast path
-// byte-identical to.
-func (p *Predictor) Detect(t *table.Table) []Finding {
-	if p.Reference {
-		return p.detectReference(t)
-	}
-	sc := p.getScratch()
-	defer p.scratches.Put(sc)
-	return p.detectFast(t, sc)
-}
-
-// detectReference is the original measure → map-lookup → dedup loop,
-// kept verbatim as the differential oracle.
-func (p *Predictor) detectReference(t *table.Table) []Finding {
-	pm := p.metrics()
-	pm.tables.Inc()
-	best := map[string]Finding{}
-	var order []string
-	for _, det := range p.Detectors {
-		cls := det.Class()
-		detStart := p.Obs.Now()
-		for _, meas := range det.Measure(t, p.Env) {
-			if !meas.Valid {
-				continue
-			}
-			lr, support := p.Model.LR(cls, det, meas)
-			pm.lr.With(cls.String()).Observe(lr)
-			if lr > p.Model.Config.Alpha {
-				continue
-			}
-			pm.findings.With(cls.String()).Inc()
-			f := Finding{
-				Class:   cls,
-				Table:   t.Name,
-				Column:  meas.Column,
-				Rows:    meas.Rows,
-				Values:  meas.Values,
-				LR:      lr,
-				Theta1:  meas.Theta1,
-				Theta2:  meas.Theta2,
-				Support: support,
-				Detail:  meas.Detail,
-			}
-			key := dedupKey(cls, meas.Rows)
-			prev, seen := best[key]
-			if !seen {
-				order = append(order, key)
-			}
-			if !seen || f.LR < prev.LR || (stats.SameFloat(f.LR, prev.LR) && f.Column < prev.Column) {
-				best[key] = f
-			}
+// Chaos admission runs first, table by table. The fast path then
+// batches the column-granular units of every admitted table through a
+// bounded worker pool (fastpath.go); Reference scores the admitted
+// tables one after another with referenceScore.
+func (p *Predictor) DetectAll(ctx context.Context, tables []*table.Table) []Finding {
+	sp := obs.StartSpan(ctx, "core/detect_all")
+	sp.Tag("tables", len(tables))
+	defer sp.End()
+	skip := make([]bool, len(tables))
+	if p.Inject != nil {
+		for i, t := range tables {
+			skip[i] = !p.admitTable(ctx, t)
 		}
-		pm.detSeconds.With(cls.String()).Observe((p.Obs.Now() - detStart).Seconds())
 	}
-	out := make([]Finding, 0, len(order))
-	for _, k := range order {
-		out = append(out, best[k])
+	if !p.Reference {
+		return p.detectAllFast(ctx, tables, skip)
 	}
+	var out []Finding
+	var st scoreState
+	for ti, t := range tables {
+		if skip[ti] || ctx.Err() != nil {
+			continue
+		}
+		p.metrics().tables.Inc()
+		st.reset()
+		for _, det := range p.Detectors {
+			p.referenceScore(&st, t, det, nil)
+		}
+		out = append(out, st.findings()...)
+	}
+	SortFindings(out)
 	return out
 }
 
+// referenceScore is the plain reference of PAPER.md §2.2.3's online
+// step, the oracle both Reference drivers score with: measure t with
+// det's own Measure, evaluate each valid measurement's LR from the
+// model's maps (Model.LR), keep those with LR <= Alpha, rebase their
+// rows through rm, and fold them into st by plain dedupKey strings.
+//
+// alloc-budget: 1 key order growth; the oracle allocates freely by design and is hot only through the Reference branch of SourceScan
+func (p *Predictor) referenceScore(st *scoreState, t *table.Table, det Detector, rm rowMap) {
+	cls := det.Class()
+	for _, meas := range det.Measure(t, p.Env) {
+		if !meas.Valid {
+			continue
+		}
+		lr, support := p.Model.LR(cls, det, meas)
+		if lr > p.Model.Config.Alpha {
+			continue
+		}
+		rows := rm.apply(meas.Rows)
+		f := Finding{
+			Class:   cls,
+			Table:   t.Name,
+			Column:  meas.Column,
+			Rows:    rows,
+			Values:  meas.Values,
+			LR:      lr,
+			Theta1:  meas.Theta1,
+			Theta2:  meas.Theta2,
+			Support: support,
+			Detail:  meas.Detail,
+		}
+		key := dedupKey(cls, rows)
+		prev, seen := st.best[key]
+		if !seen {
+			st.order = append(st.order, key)
+		}
+		if !seen || f.LR < prev.LR || (stats.SameFloat(f.LR, prev.LR) && f.Column < prev.Column) {
+			st.best[key] = f
+		}
+	}
+}
+
+// dedupKey renders the (class, row set) dedup key as a string.
+//
+// alloc-budget: 1 the key string the reference scorer dedups by
 func dedupKey(cls Class, rows []int) string {
 	return string(appendDedupKey(nil, cls, rows))
 }
@@ -177,88 +200,6 @@ func appendInt(b []byte, v int) []byte {
 		}
 	}
 	return append(b, tmp[i:]...)
-}
-
-// DetectAll scores many tables concurrently and returns all findings
-// ranked by ascending LR. The default pipeline batches column-granular
-// units across every table of the call through a bounded worker pool
-// (fastpath.go); Reference selects the original table-sharded pipeline.
-func (p *Predictor) DetectAll(ctx context.Context, tables []*table.Table) []Finding {
-	if p.Reference {
-		return p.detectAllReference(ctx, tables)
-	}
-	return p.detectAllFast(ctx, tables)
-}
-
-// detectAllReference is the original table-granular worker pool, kept
-// as the differential oracle.
-func (p *Predictor) detectAllReference(ctx context.Context, tables []*table.Table) []Finding {
-	sp := obs.StartSpan(ctx, "core/detect_all")
-	sp.Tag("tables", len(tables))
-	defer sp.End()
-	workers := p.Model.Config.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(tables) && len(tables) > 0 {
-		workers = len(tables)
-	}
-	results := make([][]Finding, len(tables))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	// The feeder joins the same WaitGroup as the workers, so DetectAll
-	// never returns with it still live after a context cancellation.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(next)
-		for i := range tables {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = p.detectShard(ctx, tables[i])
-			}
-		}()
-	}
-	wg.Wait()
-	var out []Finding
-	for _, fs := range results {
-		out = append(out, fs...)
-	}
-	SortFindings(out)
-	return out
-}
-
-// detectShard scores one table of a batch scan. With chaos injection
-// enabled it shields the scan from the table's failure: an injected
-// error or panic logs and yields no findings for that table — graceful
-// degradation, the batch analogue of the daemon's panic middleware.
-func (p *Predictor) detectShard(ctx context.Context, t *table.Table) (fs []Finding) {
-	if p.Inject == nil {
-		return p.detectReference(t)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			p.logf("core: predict table %q panicked: %v; skipping", t.Name, r)
-			p.metrics().degraded.Inc()
-			fs = nil
-		}
-	}()
-	if err := p.Inject.Hit(ctx, "core/predict/table="+t.Name); err != nil {
-		p.logf("core: predict table %q failed: %v; skipping", t.Name, err)
-		p.metrics().degraded.Inc()
-		return nil
-	}
-	return p.detectReference(t)
 }
 
 // metrics resolves the predictor's metric children once; cheap and

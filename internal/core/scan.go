@@ -11,14 +11,14 @@ import (
 	"github.com/unidetect/unidetect/internal/colstore"
 )
 
-// This file implements the resumable form of the streaming scan: the
-// same per-chunk scoring and end-of-stream sketch pass as
-// detectSourceFast, but driven one chunk at a time by the caller, with
-// the whole intermediate state serializable between chunks. The async
-// job store checkpoints a SourceScan after every folded chunk, so a
-// killed daemon reloads the state, skips the chunks already folded, and
-// finishes with findings identical to an uninterrupted scan — the
-// per-chunk analogue of the training checkpoint's kill→resume contract.
+// This file implements SourceScan, the one streaming driver: per-chunk
+// scoring plus the end-of-stream sketch pass, driven one chunk at a time
+// by the caller, with the whole intermediate state serializable between
+// chunks. DetectSource is a loop over it. The async job store
+// checkpoints a SourceScan after every chunk, so a killed daemon reloads
+// the state, skips the chunks already consumed, and finishes with
+// findings identical to an uninterrupted scan — the per-chunk analogue
+// of the training checkpoint's kill→resume contract.
 
 // scanMagic heads a serialized SourceScan. The trailing byte versions
 // the wire layout, like the checkpoint and .ucol magics.
@@ -30,10 +30,10 @@ var scanMagic = []byte("UNIDETECT-SCAN\x01")
 const scanMaxFrame = 256 << 20
 
 // SourceScan is an in-progress streaming scan over one table. Fold one
-// chunk at a time, Save between chunks for crash safety, and Finish at
-// end of stream. A SourceScan folds exactly the state detectSourceFast
-// accumulates internally, so Fold-per-chunk + Finish produces findings
-// identical to one DetectSource call over the same chunk sequence.
+// chunk at a time (or SkipDegraded one the caller had to drop), Save
+// between chunks for crash safety, and Finish at end of stream.
+// DetectSource runs exactly this sequence, so a caller driving the same
+// chunk stream gets the findings DetectSource returns.
 //
 // A SourceScan is not safe for concurrent use; each scan belongs to one
 // worker.
@@ -69,45 +69,57 @@ func (s *SourceScan) Degraded() int { return s.degraded }
 func (s *SourceScan) Rows() int { return s.sk.rows }
 
 // Fold scores one chunk's columns and folds it into the end-of-stream
-// sketch — the per-chunk half of detectSourceFast.
+// sketch. The scorer is picked here: the kernel over cached per-column
+// measurements, or referenceScore under Predictor.Reference.
+//
+// alloc-budget: 1 the chunk's one-segment row map, which score does not retain
 func (s *SourceScan) Fold(c *colstore.Chunk) {
 	p := s.p
-	pm := p.metrics()
 	start := p.Obs.Now()
-	pm.scanChunks.Inc()
-	pm.scanBytes.Add(int64(c.Bytes()))
+	s.consume(c)
 	s.sk.fold(c)
 	ct := c.Table(s.name)
-	shift := shiftRows(c.Base)
+	rm := rowMap{{start: 0, base: c.Base}}
 	sc := p.getScratch()
 	for _, det := range p.Detectors {
 		cmr, ok := det.(ColumnMeasurer)
-		if !ok {
-			continue
-		}
-		for pos := range ct.Columns {
-			p.addShifted(&s.st, ct, det, p.measureColumn(cmr, ct, pos, sc), shift)
+		switch {
+		case !ok:
+		case p.Reference:
+			p.referenceScore(&s.st, ct, det, rm)
+		default:
+			for pos := range ct.Columns {
+				p.score(&s.st, ct.Name, det, p.measureColumn(cmr, ct, pos, sc), rm)
+			}
 		}
 	}
 	p.scratches.Put(sc)
-	pm.scanChunkSeconds.Observe((p.Obs.Now() - start).Seconds())
-	s.pos++
+	p.metrics().scanChunkSeconds.Observe((p.Obs.Now() - start).Seconds())
 }
 
-// SkipDegraded consumes one stream position without folding it — the
-// resumable counterpart of a chaos-degraded chunk in scanChunks: its
-// rows vanish from the scan and the stream continues.
-func (s *SourceScan) SkipDegraded() {
+// SkipDegraded consumes chunk c without folding it: its rows vanish
+// from the scan and the stream continues. DetectSource skips a chunk
+// its chaos gate rejected; the job store one whose injected fault fired.
+func (s *SourceScan) SkipDegraded(c *colstore.Chunk) {
+	s.consume(c)
 	s.p.metrics().scanDegraded.Inc()
 	s.degraded++
+}
+
+// consume counts one chunk pulled from the stream, folded or skipped,
+// so the scan counters mean the same on every path.
+func (s *SourceScan) consume(c *colstore.Chunk) {
+	pm := s.p.metrics()
+	pm.chunksScanned.Inc()
+	pm.scanBytes.Add(int64(c.Bytes()))
 	s.pos++
 }
 
 // Finish runs the table-level detectors over the materialized sketch
-// and returns the stream's findings in the same dedup-preserving
-// first-seen order DetectSource emits. schema names the columns of an
-// empty stream (sources report it even before the first chunk). The
-// scan must not be folded into after Finish.
+// and returns the stream's findings in first-seen dedup order
+// (unsorted). schema names the columns of an empty stream (sources
+// report it even before the first chunk). The scan must not be folded
+// into after Finish.
 func (s *SourceScan) Finish(schema []string) ([]Finding, error) {
 	p := s.p
 	tbl, err := s.sk.materialize(s.name, schema)
@@ -115,10 +127,14 @@ func (s *SourceScan) Finish(schema []string) ([]Finding, error) {
 		return nil, err
 	}
 	for _, det := range p.Detectors {
-		if _, ok := det.(ColumnMeasurer); ok {
-			continue
+		_, ok := det.(ColumnMeasurer)
+		switch {
+		case ok:
+		case p.Reference:
+			p.referenceScore(&s.st, tbl, det, s.sk.segs)
+		default:
+			p.score(&s.st, tbl.Name, det, p.measureTable(det, tbl), s.sk.segs)
 		}
-		p.addShifted(&s.st, tbl, det, p.measureTable(det, tbl), s.sk.remap)
 	}
 	return s.st.findings(), nil
 }
@@ -297,27 +313,4 @@ func (p *Predictor) restoreScan(wire scanWire) (*SourceScan, error) {
 	}
 	s.st.order = wire.Order
 	return s, nil
-}
-
-// ScanSource drives a full SourceScan over src the way DetectSource
-// would, minus chaos admission: the resumable path's reference loop,
-// used by tests and by callers that want Fold/Finish semantics without
-// checkpointing.
-func (p *Predictor) ScanSource(src colstore.Source) ([]Finding, error) {
-	s := p.NewSourceScan(src.Name())
-	rel, _ := src.(colstore.Releaser)
-	for {
-		c, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.Fold(c)
-		if rel != nil {
-			rel.Release(c)
-		}
-	}
-	return s.Finish(src.ColumnNames())
 }

@@ -25,9 +25,32 @@ func errorTable(t *testing.T, seed int64) *table.Table {
 	return res.Tables[0]
 }
 
+// foldAll drives scan over every chunk of src, as the job store does
+// without faults, and finishes it.
+func foldAll(t *testing.T, scan *core.SourceScan, src colstore.Source) []core.Finding {
+	t.Helper()
+	for {
+		c, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan.Fold(c)
+	}
+	fs, err := scan.Finish(src.ColumnNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 // TestSourceScanEquivalence is the resumable scan's core contract:
-// Fold-per-chunk + Finish must produce exactly the findings DetectSource
-// produces over the same chunk stream, for every chunk geometry.
+// Fold-per-chunk + Finish on the fast predictor must produce exactly the
+// findings the reference predictor's DetectSource produces over the same
+// chunk stream, for every chunk geometry. (difftest.RunSource sweeps the
+// same contract, with checkpoints and chaos, over seeded corpora.)
 func TestSourceScanEquivalence(t *testing.T) {
 	m, bg := trainSmall(t)
 	dets := detectors.All(m.Config, detectors.Options{})
@@ -35,18 +58,17 @@ func TestSourceScanEquivalence(t *testing.T) {
 
 	for _, chunkRows := range []int{4, 16, 64, colstore.WholeTable} {
 		t.Run(fmt.Sprintf("chunkRows=%d", chunkRows), func(t *testing.T) {
+			ref := core.NewPredictor(m, dets, &core.Env{Index: bg.Index()})
+			ref.Reference = true
 			p := core.NewPredictor(m, dets, &core.Env{Index: bg.Index()})
 			opts := colstore.Options{ChunkRows: chunkRows}
-			want, err := p.DetectSource(context.Background(), colstore.NewSliceSource(tab, opts))
+			want, err := ref.DetectSource(context.Background(), colstore.NewSliceSource(tab, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.ScanSource(colstore.NewSliceSource(tab, opts))
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := foldAll(t, p.NewSourceScan(tab.Name), colstore.NewSliceSource(tab, opts))
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("resumable scan diverged from DetectSource:\n got %+v\nwant %+v", got, want)
+				t.Fatalf("resumable scan diverged from the reference DetectSource:\n got %+v\nwant %+v", got, want)
 			}
 			if len(want) == 0 {
 				t.Fatal("scan found nothing on an error-injected table; test has no power")
@@ -66,7 +88,7 @@ func TestSourceScanSaveLoadEveryChunk(t *testing.T) {
 	const chunkRows = 8
 
 	p := core.NewPredictor(m, dets, &core.Env{Index: bg.Index()})
-	want, err := p.ScanSource(colstore.NewSliceSource(tab, colstore.Options{ChunkRows: chunkRows}))
+	want, err := p.DetectSource(context.Background(), colstore.NewSliceSource(tab, colstore.Options{ChunkRows: chunkRows}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +142,7 @@ func TestSourceScanResumeSkips(t *testing.T) {
 	const chunkRows = 8
 
 	p := core.NewPredictor(m, dets, &core.Env{Index: bg.Index()})
-	want, err := p.ScanSource(colstore.NewSliceSource(tab, colstore.Options{ChunkRows: chunkRows}))
+	want, err := p.DetectSource(context.Background(), colstore.NewSliceSource(tab, colstore.Options{ChunkRows: chunkRows}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,20 +173,7 @@ func TestSourceScanResumeSkips(t *testing.T) {
 			t.Fatalf("source ended before the saved position: %v", err)
 		}
 	}
-	for {
-		c, err := src2.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed.Fold(c)
-	}
-	got, err := resumed.Finish(src2.ColumnNames())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := foldAll(t, resumed, src2)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resume-with-skip diverged:\n got %+v\nwant %+v", got, want)
 	}

@@ -16,7 +16,8 @@ type Scratch struct {
 	// F64 is a general float64 buffer (the outlier detector's drop-one
 	// resample).
 	F64 []float64
-	// score is the per-table dedup state of detectFast, reset per table.
+	// score is the dedup state of DetectAll's assembly pass, reset per
+	// table.
 	score scoreState
 }
 
@@ -43,12 +44,10 @@ func (s *Scratch) Floats(n int) []float64 {
 // results across requests.
 //
 // MeasureColumn must be a pure function of (table, pos, env): the
-// measurement cache replays its results for identical column content.
-// sc may be nil: the implementation then works in buffers of its own.
-// Either way it runs the same code and returns the same measurements;
-// a scratch only saves the allocations. Implementations must NOT report
-// measurement counts to env — the caller counts once per unit, keeping
-// totals identical between the reference (per-table) and fast
+// measurement cache replays its results for identical column content,
+// and the scratch only saves allocations. Implementations must NOT
+// report measurement counts to env — the caller counts once per unit,
+// keeping totals identical between the reference (per-table) and fast
 // (per-column) paths.
 type ColumnMeasurer interface {
 	Detector
@@ -56,4 +55,17 @@ type ColumnMeasurer interface {
 	// position pos, exactly the subsequence of Measure's output that this
 	// column contributes.
 	MeasureColumn(t *table.Table, pos int, env *Env, sc *Scratch) []Measurement
+}
+
+// MeasureColumns is Detector.Measure for a column-granular detector:
+// every column in position order through one fresh scratch, with the
+// table's measurement count reported to env once.
+func MeasureColumns(cmr ColumnMeasurer, t *table.Table, env *Env) []Measurement {
+	sc := NewScratch()
+	var out []Measurement
+	for pos := range t.Columns {
+		out = append(out, cmr.MeasureColumn(t, pos, env, sc)...)
+	}
+	env.CountMeasurements(cmr.Class(), len(out))
+	return out
 }

@@ -8,42 +8,90 @@ import (
 
 	"github.com/unidetect/unidetect/internal/colstore"
 	"github.com/unidetect/unidetect/internal/obs"
-	"github.com/unidetect/unidetect/internal/stats"
 	"github.com/unidetect/unidetect/internal/table"
 )
 
-// This file implements the streaming scan driver: DetectSource scores a
+// This file implements the streaming scan: DetectSource scores a
 // chunked columnar source (internal/colstore) without ever holding the
-// whole table's cells in memory. Column-granular detectors run chunk by
-// chunk with row indices rebased to source coordinates; the table-level
-// FD detectors, which need whole columns, run at end of stream over a
-// dictionary-encoded sketch accumulated during the scan — repeated cell
-// strings are stored once, so the resident footprint is one chunk plus
-// the distinct-value dictionaries, not the table.
-//
-// Like Detect/DetectAll, the driver has a reference and a fast variant
-// selected by Predictor.Reference, sharing one chunk loop so chaos
-// admission, sketch contents and metrics are identical by construction;
-// internal/difftest holds the two byte-identical across chunk sizes.
+// whole table's cells in memory. It is a loop over SourceScan (scan.go),
+// the one streaming driver the async job store drives too: column-
+// granular detectors run chunk by chunk with row indices rebased to
+// source coordinates; the table-level FD detectors, which need whole
+// columns, run at end of stream over a dictionary-encoded sketch
+// accumulated during the scan — repeated cell strings are stored once,
+// so the resident footprint is one chunk plus the distinct-value
+// dictionaries, not the table.
 
-// DetectSource scores a streaming source and returns its findings in the
-// same dedup-preserving first-seen order Detect emits. The source is
-// drained but not closed (the caller owns Close). A source error aborts
-// the scan; injected chaos faults instead degrade the failing chunk —
-// its rows vanish from the scan on both paths — and the scan continues.
+// DetectSource scores a streaming source and returns its findings in
+// first-seen dedup order (unsorted). The source is drained but not
+// closed (the caller owns Close). A source error aborts the scan;
+// injected chaos faults instead degrade the failing chunk — its rows
+// vanish from the scan — and the scan continues. Each chunk is released
+// before the next is pulled, so at most one chunk per column is resident
+// at a time (instrumented sources verify this via Releaser).
 func (p *Predictor) DetectSource(ctx context.Context, src colstore.Source) ([]Finding, error) {
-	if p.Reference {
-		return p.detectSourceReference(ctx, src)
+	sp := obs.StartSpan(ctx, "core/detect_source")
+	sp.Tag("table", src.Name())
+	defer sp.End()
+	s := p.NewSourceScan(src.Name())
+	rel, _ := src.(colstore.Releaser)
+	for {
+		c, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if p.Inject == nil || p.admitChunk(ctx, src.Name()) {
+			s.Fold(c)
+		} else {
+			s.SkipDegraded(c)
+		}
+		if rel != nil {
+			rel.Release(c)
+		}
 	}
-	return p.detectSourceFast(ctx, src)
+	return s.Finish(src.ColumnNames())
 }
 
-// rowSeg maps one admitted chunk's sketch rows back to source rows:
-// sketch rows [start, start+n) came from source rows [base, base+n).
-// Segments are only non-trivial when chaos degraded a chunk mid-stream.
+// rowSeg maps one admitted chunk's measured rows back to source rows:
+// measured rows [start, start+n) came from source rows [base, base+n).
 type rowSeg struct {
-	start int // first sketch row of the segment
+	start int // first measured row of the segment
 	base  int // the chunk's first source row
+}
+
+// rowMap rebases the row indices a detector reports to source rows:
+// each segment covers the measured rows from its start up to the next
+// segment's. SourceScan.Fold maps a chunk with one segment
+// {start: 0, base: c.Base}; Finish maps the sketch with its per-chunk
+// segments, which differ from the identity only when chaos degraded a
+// chunk mid-stream. A nil map is the identity.
+type rowMap []rowSeg
+
+// apply rebases rows through m. The identity aliases its input;
+// otherwise the caller gets a fresh slice — cached measurement slices
+// are shared and must never be mutated.
+//
+// alloc-budget: 2 the rebased row slice of a surviving finding, and sort.Search's predicate closure, which does not escape
+func (m rowMap) apply(rows []int) []int {
+	identity := true
+	for _, s := range m {
+		if s.start != s.base {
+			identity = false
+			break
+		}
+	}
+	if identity || len(rows) == 0 {
+		return rows
+	}
+	out := make([]int, len(rows))
+	for i, r := range rows {
+		k := sort.Search(len(m), func(k int) bool { return m[k].start > r }) - 1
+		out[i] = m[k].base + (r - m[k].start)
+	}
+	return out
 }
 
 // sourceSketch accumulates the dictionary-encoded column sketch the
@@ -55,7 +103,7 @@ type sourceSketch struct {
 	dicts []map[string]uint32
 	vals  [][]string
 	ids   [][]uint32
-	segs  []rowSeg
+	segs  rowMap
 	rows  int // admitted rows folded so far
 }
 
@@ -101,6 +149,8 @@ func (sk *sourceSketch) fold(c *colstore.Chunk) {
 // materialize decodes the sketch into a table named name for the
 // table-level detectors. A sketch that saw no chunks still defines the
 // schema's columns, zero rows each.
+//
+// alloc-budget: 4 the decoded table, once per stream: column list, per-column value slices and headers, and table.New's error path
 func (sk *sourceSketch) materialize(name string, schema []string) (*table.Table, error) {
 	names := sk.names
 	if len(names) == 0 {
@@ -119,80 +169,9 @@ func (sk *sourceSketch) materialize(name string, schema []string) (*table.Table,
 	return table.New(name, cols...)
 }
 
-// remap rebases sketch-table row indices (what a detector measuring the
-// materialized sketch reports) to source rows. With no degraded chunks
-// the mapping is the identity and the input aliases through untouched;
-// otherwise survivors get a fresh slice — cached measurement slices are
-// shared and must never be mutated.
-func (sk *sourceSketch) remap(rows []int) []int {
-	identity := true
-	for _, s := range sk.segs {
-		if s.start != s.base {
-			identity = false
-			break
-		}
-	}
-	if identity || len(rows) == 0 {
-		return rows
-	}
-	out := make([]int, len(rows))
-	for i, r := range rows {
-		k := sort.Search(len(sk.segs), func(k int) bool { return sk.segs[k].start > r }) - 1
-		out[i] = sk.segs[k].base + (r - sk.segs[k].start)
-	}
-	return out
-}
-
-// shiftRows returns a remap rebasing chunk-local rows by the chunk's
-// base. Base zero is the identity and aliases the input; otherwise the
-// caller gets a fresh slice (cached measurements stay untouched).
-func shiftRows(base int) func([]int) []int {
-	return func(rows []int) []int {
-		if base == 0 || len(rows) == 0 {
-			return rows
-		}
-		out := make([]int, len(rows))
-		for i, r := range rows {
-			out[i] = r + base
-		}
-		return out
-	}
-}
-
-// scanChunks drives the streaming loop shared by both DetectSource
-// variants: pull a chunk, gate it through chaos admission, fold it into
-// the sketch, hand its materialized table to the path's scorer, then
-// release it before pulling the next — at most one chunk per column is
-// resident at a time (instrumented sources verify this via Releaser).
-func (p *Predictor) scanChunks(ctx context.Context, src colstore.Source, sk *sourceSketch, score func(ct *table.Table, base int)) error {
-	pm := p.metrics()
-	rel, _ := src.(colstore.Releaser)
-	for {
-		c, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		start := p.Obs.Now()
-		pm.scanChunks.Inc()
-		pm.scanBytes.Add(int64(c.Bytes()))
-		if p.Inject == nil || p.admitChunk(ctx, src.Name()) {
-			sk.fold(c)
-			score(c.Table(src.Name()), c.Base)
-		}
-		pm.scanChunkSeconds.Observe((p.Obs.Now() - start).Seconds())
-		if rel != nil {
-			rel.Release(c)
-		}
-	}
-}
-
-// admitChunk runs the per-chunk chaos gate of the streaming scan. Both
-// DetectSource variants reach it through the shared scanChunks loop, so
-// a chaos schedule hits the site with the same per-chunk ordinals and
-// degrades the same chunks on both paths.
+// admitChunk runs the per-chunk chaos gate of DetectSource. Both paths
+// run the same loop, so a chaos schedule hits the site with the same
+// per-chunk ordinals and degrades the same chunks on both.
 //
 // alloc-budget: 4 chaos admission gate: recover shield and degradation logging, called only under fault injection
 func (p *Predictor) admitChunk(ctx context.Context, name string) (ok bool) {
@@ -209,175 +188,4 @@ func (p *Predictor) admitChunk(ctx context.Context, name string) (ok bool) {
 		return false
 	}
 	return true
-}
-
-// addShifted scores measurements through the compact index like add,
-// with row indices rebased through remap before dedup — the chunk-scan
-// scoring kernel. Filter, metrics and dedup preference replicate add
-// (and therefore the reference loop) exactly.
-//
-// alloc-budget: 4 dedup keys intern as in add, plus the rebased row slice of each surviving finding
-func (p *Predictor) addShifted(st *scoreState, t *table.Table, det Detector, ms []Measurement, remap func([]int) []int) {
-	if len(ms) == 0 {
-		return
-	}
-	pm := p.metrics()
-	ix := p.lrIndex()
-	cls := det.Class()
-	q := det.Quantizer()
-	alpha := p.Model.Config.Alpha
-	for _, meas := range ms {
-		if !meas.Valid {
-			continue
-		}
-		b1, b2 := q.Bin(meas.Theta1), q.Bin(meas.Theta2)
-		lr, support, oc := ix.LR(int(cls), meas.Key, b1, b2)
-		pm.ixLookups.With(oc.String()).Inc()
-		pm.lr.With(cls.String()).Observe(lr)
-		if lr > alpha {
-			continue
-		}
-		pm.findings.With(cls.String()).Inc()
-		rows := remap(meas.Rows)
-		f := Finding{
-			Class:   cls,
-			Table:   t.Name,
-			Column:  meas.Column,
-			Rows:    rows,
-			Values:  meas.Values,
-			LR:      lr,
-			Theta1:  meas.Theta1,
-			Theta2:  meas.Theta2,
-			Support: support,
-			Detail:  meas.Detail,
-		}
-		st.keyBuf = appendDedupKey(st.keyBuf[:0], cls, rows)
-		prev, seen := st.best[string(st.keyBuf)]
-		switch {
-		case !seen:
-			key := string(st.keyBuf)
-			st.order = append(st.order, key)
-			st.best[key] = f
-		case f.LR < prev.LR || (stats.SameFloat(f.LR, prev.LR) && f.Column < prev.Column):
-			st.best[string(st.keyBuf)] = f
-		}
-	}
-}
-
-// detectSourceFast is the indexed streaming scan: column detectors run
-// per chunk through the measurement cache with pooled scratch, the
-// table-level pass scores the materialized sketch, and one score state
-// spans the whole stream so cross-chunk duplicates dedup exactly as an
-// in-memory scan would.
-func (p *Predictor) detectSourceFast(ctx context.Context, src colstore.Source) ([]Finding, error) {
-	sp := obs.StartSpan(ctx, "core/detect_source")
-	sp.Tag("table", src.Name())
-	sp.Tag("path", "indexed")
-	defer sp.End()
-	pm := p.metrics()
-	pm.tables.Inc()
-	sc := p.getScratch()
-	defer p.scratches.Put(sc)
-	st := &sc.score
-	st.reset()
-	var sk sourceSketch
-	err := p.scanChunks(ctx, src, &sk, func(ct *table.Table, base int) {
-		shift := shiftRows(base)
-		for _, det := range p.Detectors {
-			cmr, ok := det.(ColumnMeasurer)
-			if !ok {
-				continue
-			}
-			for pos := range ct.Columns {
-				p.addShifted(st, ct, det, p.measureColumn(cmr, ct, pos, sc), shift)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := sk.materialize(src.Name(), src.ColumnNames())
-	if err != nil {
-		return nil, err
-	}
-	for _, det := range p.Detectors {
-		if _, ok := det.(ColumnMeasurer); ok {
-			continue
-		}
-		p.addShifted(st, tbl, det, p.measureTable(det, tbl), sk.remap)
-	}
-	return st.findings(), nil
-}
-
-// detectSourceReference is the oracle streaming scan: the reference
-// map-backed scoring loop applied chunk by chunk, kept as plain as
-// detectReference so difftest can hold the fast variant byte-identical.
-func (p *Predictor) detectSourceReference(ctx context.Context, src colstore.Source) ([]Finding, error) {
-	pm := p.metrics()
-	pm.tables.Inc()
-	best := map[string]Finding{}
-	var order []string
-	score := func(t *table.Table, det Detector, ms []Measurement, remap func([]int) []int) {
-		cls := det.Class()
-		for _, meas := range ms {
-			if !meas.Valid {
-				continue
-			}
-			lr, support := p.Model.LR(cls, det, meas)
-			pm.lr.With(cls.String()).Observe(lr)
-			if lr > p.Model.Config.Alpha {
-				continue
-			}
-			pm.findings.With(cls.String()).Inc()
-			rows := remap(meas.Rows)
-			f := Finding{
-				Class:   cls,
-				Table:   t.Name,
-				Column:  meas.Column,
-				Rows:    rows,
-				Values:  meas.Values,
-				LR:      lr,
-				Theta1:  meas.Theta1,
-				Theta2:  meas.Theta2,
-				Support: support,
-				Detail:  meas.Detail,
-			}
-			key := dedupKey(cls, rows)
-			prev, seen := best[key]
-			if !seen {
-				order = append(order, key)
-			}
-			if !seen || f.LR < prev.LR || (stats.SameFloat(f.LR, prev.LR) && f.Column < prev.Column) {
-				best[key] = f
-			}
-		}
-	}
-	var sk sourceSketch
-	err := p.scanChunks(ctx, src, &sk, func(ct *table.Table, base int) {
-		shift := shiftRows(base)
-		for _, det := range p.Detectors {
-			if _, ok := det.(ColumnMeasurer); !ok {
-				continue
-			}
-			score(ct, det, det.Measure(ct, p.Env), shift)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := sk.materialize(src.Name(), src.ColumnNames())
-	if err != nil {
-		return nil, err
-	}
-	for _, det := range p.Detectors {
-		if _, ok := det.(ColumnMeasurer); ok {
-			continue
-		}
-		score(tbl, det, det.Measure(tbl, p.Env), sk.remap)
-	}
-	out := make([]Finding, 0, len(order))
-	for _, k := range order {
-		out = append(out, best[k])
-	}
-	return out, nil
 }

@@ -38,8 +38,8 @@ func TestFingerprintMatchesColumnView(t *testing.T) {
 
 // TestSketchFoldAndRemap exercises the dictionary sketch directly: fold
 // chunks with a gap (as if chaos degraded the middle chunk), check the
-// materialized table skips the gap's rows, and check remap rebases
-// sketch rows to source coordinates across the gap.
+// materialized table skips the gap's rows, and check the sketch's row
+// map rebases sketch rows to source coordinates across the gap.
 func TestSketchFoldAndRemap(t *testing.T) {
 	mkChunk := func(index, base int, vals ...[]string) *colstore.Chunk {
 		cols := make([]colstore.ColumnView, len(vals))
@@ -67,20 +67,27 @@ func TestSketchFoldAndRemap(t *testing.T) {
 		}
 	}
 
-	got := sk.remap([]int{0, 1, 2, 3})
+	got := sk.segs.apply([]int{0, 1, 2, 3})
 	want := []int{0, 1, 4, 5}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("remap = %v, want %v", got, want)
 		}
 	}
-	// Identity mapping aliases straight through without copying.
+	// Identity mappings — gap-free sketches, chunks at base 0, and the
+	// nil map — alias straight through without copying.
 	var id sourceSketch
 	id.fold(mkChunk(0, 0, []string{"x", "y"}))
 	id.fold(mkChunk(1, 2, []string{"z"}))
 	rows := []int{0, 2}
-	if out := id.remap(rows); &out[0] != &rows[0] {
-		t.Fatal("identity remap copied its input")
+	for _, m := range []rowMap{id.segs, {{start: 0, base: 0}}, nil} {
+		if out := m.apply(rows); &out[0] != &rows[0] {
+			t.Fatalf("identity map %v copied its input", m)
+		}
+	}
+	// A chunk's one-segment map shifts by its base.
+	if out := (rowMap{{start: 0, base: 8}}).apply(rows); out[0] != 8 || out[1] != 10 || rows[0] != 0 {
+		t.Fatalf("chunk map at base 8 gave %v (input now %v), want [8 10] and the input untouched", out, rows)
 	}
 }
 

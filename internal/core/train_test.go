@@ -52,7 +52,8 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentDetectRace exercises the shared predictor from many
+// TestConcurrentDetectRace exercises the shared predictor's DetectAll
+// (its LR index, measurement cache and scratch pool) from many
 // goroutines; run with -race.
 func TestConcurrentDetectRace(t *testing.T) {
 	m, bg := trainSmall(t)
@@ -61,13 +62,14 @@ func TestConcurrentDetectRace(t *testing.T) {
 		table.NewColumn("Name", []string{"Kevin Doeling", "Kevin Dowling", "Alan Myerson", "Rob Morrow", "Lesli Glatter", "Peter Bonerz"}),
 		table.NewColumn("Pop", []string{"8011", "8.716", "9954", "11895", "11329", "11352"}),
 	)
+	tables := []*table.Table{tbl}
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if fs := pred.Detect(tbl); len(fs) == 0 {
+				if fs := pred.DetectAll(context.Background(), tables); len(fs) == 0 {
 					t.Error("no findings")
 					return
 				}

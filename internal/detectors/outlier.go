@@ -84,19 +84,15 @@ func (d *Outlier) Quantizer() evidence.Quantizer {
 func (d *Outlier) Directions() evidence.Directions { return evidence.OutlierDirections }
 
 // Measure implements core.Detector.
-func (d *Outlier) Measure(t *table.Table, env *core.Env) (out []core.Measurement) {
-	defer func() { env.CountMeasurements(core.ClassOutlier, len(out)) }()
-	for pos := range t.Columns {
-		out = append(out, d.MeasureColumn(t, pos, env, nil)...)
-	}
-	return out
+func (d *Outlier) Measure(t *table.Table, env *core.Env) []core.Measurement {
+	return core.MeasureColumns(d, t, env)
 }
 
 // MeasureColumn implements core.ColumnMeasurer: the single column's
-// share of Measure's output. A non-nil scratch supplies the buffer for
-// the drop-one resample.
+// share of Measure's output. The scratch supplies the buffer for the
+// drop-one resample.
 //
-// alloc-budget: 10 numeric extraction, log-fit featurization and the returned measurement; the scratchless branch serves the reference oracle
+// alloc-budget: 9 numeric extraction, log-fit featurization and the returned measurement
 func (d *Outlier) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *core.Scratch) []core.Measurement {
 	c := t.Columns[pos]
 	typ := c.Type()
@@ -111,12 +107,7 @@ func (d *Outlier) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *core
 	if arg < 0 {
 		return nil
 	}
-	var rest []float64
-	if sc != nil {
-		rest = sc.Floats(len(vals) - 1)
-	} else {
-		rest = make([]float64, 0, len(vals)-1)
-	}
+	rest := sc.Floats(len(vals) - 1)
 	rest = append(rest, vals[:arg]...)
 	rest = append(rest, vals[arg+1:]...)
 	theta2, _ := d.maxScore(rest)

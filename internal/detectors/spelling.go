@@ -33,20 +33,15 @@ func (d *Spelling) Quantizer() evidence.Quantizer { return evidence.IntQuantizer
 // Directions implements core.Detector (§3.2).
 func (d *Spelling) Directions() evidence.Directions { return evidence.SpellingDirections }
 
-// Measure implements core.Detector: the columns share one scratch.
-func (d *Spelling) Measure(t *table.Table, env *core.Env) (out []core.Measurement) {
-	defer func() { env.CountMeasurements(core.ClassSpelling, len(out)) }()
-	sc := core.NewScratch()
-	for pos := range t.Columns {
-		out = append(out, d.MeasureColumn(t, pos, env, sc)...)
-	}
-	return out
+// Measure implements core.Detector.
+func (d *Spelling) Measure(t *table.Table, env *core.Env) []core.Measurement {
+	return core.MeasureColumns(d, t, env)
 }
 
 // MeasureColumn implements core.ColumnMeasurer: the single column's
 // share of Measure's output. Both metrics come from one
 // strdist.SpellingMPD pass over the column's distinct values, in the
-// scratch's MPD buffers (a nil scratch gets a fresh one).
+// scratch's MPD buffers.
 //
 // alloc-budget: 5 token-length featurization, the detail string and the returned measurement
 func (d *Spelling) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *core.Scratch) []core.Measurement {
@@ -59,9 +54,6 @@ func (d *Spelling) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *cor
 		// Digit-edit "misspellings" of numbers are the outlier
 		// detector's jurisdiction.
 		return nil
-	}
-	if sc == nil {
-		sc = core.NewScratch()
 	}
 	// The natural perturbation drops one value of the MPD pair;
 	// Equation 3 minimizes LR over O, and with the §3.2 orientation a

@@ -28,12 +28,8 @@ func (d *Uniqueness) Quantizer() evidence.Quantizer { return evidence.RatioQuant
 func (d *Uniqueness) Directions() evidence.Directions { return evidence.RatioDirections }
 
 // Measure implements core.Detector.
-func (d *Uniqueness) Measure(t *table.Table, env *core.Env) (out []core.Measurement) {
-	defer func() { env.CountMeasurements(core.ClassUniqueness, len(out)) }()
-	for pos := range t.Columns {
-		out = append(out, d.MeasureColumn(t, pos, env, nil)...)
-	}
-	return out
+func (d *Uniqueness) Measure(t *table.Table, env *core.Env) []core.Measurement {
+	return core.MeasureColumns(d, t, env)
 }
 
 // MeasureColumn implements core.ColumnMeasurer: the single column's

@@ -1,21 +1,27 @@
 // Package difftest is the differential harness that proves the fast
 // prediction path — compact LR index (internal/lrindex), column-granular
-// batching, pooled scratch buffers, measurement memoization — produces
-// byte-identical findings to the original map-backed path, which stays
-// in the tree as the oracle behind core.Predictor.Reference.
+// batching, pooled scratch buffers, measurement memoization, all behind
+// one scoring kernel — produces byte-identical findings to the plain
+// reference scorer, the oracle behind core.Predictor.Reference (each
+// detector's own Measure, the model's map-backed LR, string dedup keys).
 //
 // Equivalence here is exact, not approximate: every Finding field must
 // match, with float fields compared via math.Float64bits so that even a
 // last-ulp drift in LR or θ computation fails the harness. A run trains
 // a fresh model on a seeded synthetic corpus, scores an error-injected
-// eval set through both predictors, and diffs the ranked outputs; with a
-// chaos schedule configured, both sides carry same-seed fault injectors
-// so the degraded table set must agree too.
+// eval set through both predictors' drivers — DetectAll, DetectSource,
+// and a SourceScan driven chunk by chunk with a checkpoint round trip
+// after every chunk, as the async job store drives it — and diffs the
+// outputs; with a chaos schedule configured, every side carries a
+// same-seed fault injector so the degraded table or chunk set must agree
+// too.
 package difftest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -45,9 +51,10 @@ type Config struct {
 	// Extra tables are appended to the eval set — the hook for
 	// hand-built edge cases (empty columns, NaN numerics, ...).
 	Extra []*table.Table
-	// Chaos, when non-empty, arms both predictors with fault injectors
-	// built from the same ChaosSeed, asserting the fast path degrades
-	// on exactly the tables the reference path degrades on.
+	// Chaos, when non-empty, arms both predictors (and RunSource's job
+	// leg) with fault injectors built from the same ChaosSeed, asserting
+	// the fast path degrades exactly the tables or chunks the reference
+	// degrades.
 	Chaos     []faultinject.Rule
 	ChaosSeed int64
 	// CacheSize is passed to the fast predictor (0 = default budget,
@@ -73,8 +80,8 @@ type Result struct {
 
 // Run trains a model for cfg.Seed, scores the eval set through the
 // reference and fast paths, and fails t unless the outputs are
-// byte-identical. Without chaos it additionally diffs the single-table
-// Detect entry point per eval table (pre-sort dedup order included).
+// byte-identical. Without chaos it additionally diffs each eval table
+// scored alone — the single-table DetectAll call /v1/detect makes.
 func Run(t testing.TB, cfg Config) Result {
 	t.Helper()
 	ctx := context.Background()
@@ -85,12 +92,10 @@ func Run(t testing.TB, cfg Config) Result {
 	diffFindings(t, fmt.Sprintf("seed %d DetectAll", cfg.Seed), want, got)
 
 	if len(cfg.Chaos) == 0 {
-		// The batch comparison alone would pass if both paths dropped
-		// everything; Detect has no degradation, so this also pins the
-		// per-table dedup order the batch assembly replays.
 		for _, tab := range eval {
-			diffFindings(t, fmt.Sprintf("seed %d Detect(%q)", cfg.Seed, tab.Name),
-				ref.Detect(tab), fast.Detect(tab))
+			one := []*table.Table{tab}
+			diffFindings(t, fmt.Sprintf("seed %d DetectAll(%q)", cfg.Seed, tab.Name),
+				ref.DetectAll(ctx, one), fast.DetectAll(ctx, one))
 		}
 	}
 
@@ -126,7 +131,7 @@ func setup(t testing.TB, cfg *Config) (ref, fast *core.Predictor, eval []*table.
 		AvgRows: 16, AvgCols: 4, Seed: cfg.Seed,
 	}).Tables)
 	cc := core.DefaultConfig()
-	cc.Workers = 4 // exercise both worker pools even on 1-CPU machines
+	cc.Workers = 4 // exercise the training and DetectAll worker pools even on 1-CPU machines
 	if cfg.Mutate != nil {
 		cfg.Mutate(&cc)
 	}
@@ -161,37 +166,51 @@ func setup(t testing.TB, cfg *Config) (ref, fast *core.Predictor, eval []*table.
 var ChunkSizes = []int{1, 7, 64, colstore.WholeTable}
 
 // RunSource proves the chunked streaming scan: every eval table is
-// streamed through core.Predictor.DetectSource on both the reference
-// and the fast path at each ChunkSizes entry, and the two paths must
-// agree byte-for-byte at every size. Without chaos, the whole-table
-// stream must additionally be byte-identical to the in-memory Detect on
-// both paths — pinning that the driver degenerates to the ordinary scan
-// when chunking is off. With a chaos schedule, same-seed injectors gate
-// every chunk on both paths, which must degrade the same chunks (the
-// sweep still runs; per-size outputs then legitimately differ, path
-// equivalence must not).
+// streamed at each ChunkSizes entry through core.Predictor.DetectSource
+// on the reference and the fast path, and through the job leg — a fast
+// SourceScan driven chunk by chunk with a Save → LoadSourceScan round
+// trip after every chunk, as the async job store drives it. All three
+// must agree byte-for-byte at every size. Without chaos, the
+// whole-table stream must additionally match the in-memory DetectAll,
+// pinning that the driver degenerates to the ordinary scan when
+// chunking is off. With a chaos schedule, same-seed injectors gate every
+// chunk on all three, which must degrade the same chunks (per-size
+// outputs then legitimately differ; path equivalence must not).
 func RunSource(t testing.TB, cfg Config) Result {
 	t.Helper()
 	ctx := context.Background()
 	ref, fast, eval := setup(t, &cfg)
+	var jobInject *faultinject.Injector
+	if len(cfg.Chaos) > 0 {
+		jobInject = faultinject.New(cfg.ChaosSeed, cfg.Chaos...)
+	}
 
 	res := Result{Classes: map[core.Class]int{}}
 	for _, tab := range eval {
 		for _, rows := range ChunkSizes {
 			what := fmt.Sprintf("seed %d DetectSource(%q, chunk=%d)", cfg.Seed, tab.Name, rows)
-			want, err := ref.DetectSource(ctx, colstore.NewSliceSource(tab, colstore.Options{ChunkRows: rows}))
+			opts := colstore.Options{ChunkRows: rows}
+			want, err := ref.DetectSource(ctx, colstore.NewSliceSource(tab, opts))
 			if err != nil {
 				t.Fatalf("difftest: %s: reference: %v", what, err)
 			}
-			got, err := fast.DetectSource(ctx, colstore.NewSliceSource(tab, colstore.Options{ChunkRows: rows}))
+			got, err := fast.DetectSource(ctx, colstore.NewSliceSource(tab, opts))
 			if err != nil {
 				t.Fatalf("difftest: %s: fast: %v", what, err)
 			}
 			diffFindings(t, what, want, got)
+			job, err := runJob(ctx, fast, jobInject, colstore.NewSliceSource(tab, opts))
+			if err != nil {
+				t.Fatalf("difftest: %s: job leg: %v", what, err)
+			}
+			diffFindings(t, what+" vs job leg", want, job)
 			if rows == colstore.WholeTable {
 				if len(cfg.Chaos) == 0 {
-					diffFindings(t, what+" vs reference Detect", ref.Detect(tab), want)
-					diffFindings(t, what+" vs fast Detect", fast.Detect(tab), got)
+					sorted := append([]core.Finding(nil), got...)
+					core.SortFindings(sorted)
+					one := []*table.Table{tab}
+					diffFindings(t, what+" vs reference DetectAll", ref.DetectAll(ctx, one), sorted)
+					diffFindings(t, what+" vs fast DetectAll", fast.DetectAll(ctx, one), sorted)
 				}
 				res.Findings = append(res.Findings, got...)
 				for _, f := range got {
@@ -214,6 +233,48 @@ func RunSource(t testing.TB, cfg Config) Result {
 		}
 	}
 	return res
+}
+
+// runJob drives a SourceScan over src the way the async job store does:
+// gate each chunk (here through inject at DetectSource's own chaos site,
+// so a same-seed injector degrades the chunks DetectSource degrades),
+// Fold or SkipDegraded it, then checkpoint — Save, LoadSourceScan, and
+// continue on the reloaded state.
+func runJob(ctx context.Context, p *core.Predictor, inject *faultinject.Injector, src colstore.Source) ([]core.Finding, error) {
+	admit := func() (ok bool) {
+		if inject == nil {
+			return true
+		}
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		return inject.Hit(ctx, "core/scan/table="+src.Name()) == nil
+	}
+	scan := p.NewSourceScan(src.Name())
+	for {
+		c, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if admit() {
+			scan.Fold(c)
+		} else {
+			scan.SkipDegraded(c)
+		}
+		var state bytes.Buffer
+		if err := scan.Save(&state); err != nil {
+			return nil, err
+		}
+		if scan, err = p.LoadSourceScan(&state); err != nil {
+			return nil, err
+		}
+	}
+	return scan.Finish(src.ColumnNames())
 }
 
 // diffFindings fails t with a field-precise message on the first

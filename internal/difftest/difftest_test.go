@@ -101,11 +101,11 @@ func TestEdgeTables(t *testing.T) {
 }
 
 // TestSourceSweep drives the streaming-scan sweep: per eval table and
-// chunk size, the chunked fast driver must match the chunked reference
-// driver byte-for-byte, and the whole-table stream must match the
-// in-memory Detect — with several error classes exercised so all
-// detector kinds (per-chunk column scoring and the end-of-stream sketch
-// pass) contribute evidence.
+// chunk size, the fast DetectSource and the checkpointed job leg must
+// match the reference DetectSource byte-for-byte, and the whole-table
+// stream must match the in-memory DetectAll — with several error
+// classes exercised so all detector kinds (per-chunk column scoring and
+// the end-of-stream sketch pass) contribute evidence.
 func TestSourceSweep(t *testing.T) {
 	classes := map[core.Class]bool{}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -149,8 +149,8 @@ func TestSourceEdgeTables(t *testing.T) {
 }
 
 // TestSourceChaos replays a transient scan chaos schedule through
-// same-seed injectors on both streaming paths: the fast driver must
-// degrade exactly the chunks the reference driver degrades, at every
+// same-seed injectors on the reference, fast and job-leg scans: each
+// must degrade exactly the chunks the reference degrades, at every
 // chunk size, and score the surviving chunks identically.
 func TestSourceChaos(t *testing.T) {
 	for _, seed := range testkit.Seeds(t) {

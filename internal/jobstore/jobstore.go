@@ -411,7 +411,7 @@ func (s *Store) runJob(rec Record) {
 		if ierr := s.inject("jobstore/chunk"); ierr != nil {
 			// An injected chunk fault degrades that chunk, mirroring the
 			// sync scan path: its rows vanish, the stream continues.
-			scan.SkipDegraded()
+			scan.SkipDegraded(c)
 		} else {
 			scan.Fold(c)
 			s.m.chunks.Inc()

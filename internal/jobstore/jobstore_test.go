@@ -6,9 +6,11 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -337,23 +339,76 @@ func TestTenantScoping(t *testing.T) {
 }
 
 // TestInjectedChunkFaultDegrades: a chunk fault drops that chunk and
-// the job lands degraded, mirroring the sync scan's chaos semantics.
+// the job lands degraded, mirroring the sync scan's chaos semantics —
+// including its scan counters, which count the dropped chunk as scanned
+// and as degraded.
 func TestInjectedChunkFaultDegrades(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Rule{
 		Site: "jobstore/chunk", Hits: []int{2},
 		Fault: faultinject.Fault{Err: errors.New("chunk dropped")},
 	})
+	// A copy of the shared model whose predictor reports to scanReg.
+	var saved bytes.Buffer
+	if err := testModel(t).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	scanReg := obs.NewRegistry()
+	m, err := unidetect.Load(&saved, &unidetect.Options{Obs: scanReg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := openStore(t, t.TempDir(), func(c *Config) {
 		c.Inject = inj
 		c.Obs = obs.NewRegistry()
+		c.Model = func() *unidetect.Model { return m }
 	})
-	rec, err := s.Submit("acme", "upload", "csv", bytes.NewReader(errorCSV(t, 300, 23)))
+	body := errorCSV(t, 300, 23)
+	rec, err := s.Submit("acme", "upload", "csv", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	final := waitTerminal(t, s, "acme", rec.ID)
 	if final.State != StateDegraded || final.Degraded != 1 {
 		t.Fatalf("job finished %s with %d degraded chunks, want degraded/1", final.State, final.Degraded)
+	}
+	src, err := colstore.NewCSVSource("upload", bytes.NewReader(body), colstore.Options{ChunkRows: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, size := 0, 0
+	for {
+		c, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks++
+		size += c.Bytes()
+	}
+	var prom strings.Builder
+	if err := scanReg.WritePromText(&prom); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseProm(prom.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		name string
+		n    int
+	}{
+		{"unidetect_scan_chunks_total", chunks},
+		{"unidetect_scan_bytes_total", size},
+		{"unidetect_scan_degraded_chunks_total", 1},
+	} {
+		if s, ok := obs.Sample(fams, want.name, nil); !ok || s.Value != float64(want.n) {
+			t.Errorf("%s = %v (present %v), want %d", want.name, s.Value, ok, want.n)
+		}
+	}
+	if final.Chunks != chunks {
+		t.Errorf("job consumed %d chunks, the source has %d", final.Chunks, chunks)
 	}
 	if rc, err := s.Findings("acme", rec.ID); err != nil {
 		t.Fatalf("degraded job findings unreadable: %v", err)

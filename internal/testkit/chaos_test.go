@@ -473,7 +473,7 @@ func TestChaosPredictDegradation(t *testing.T) {
 	}
 }
 
-// degradedTable extracts the quoted table name from a detectShard
+// degradedTable extracts the quoted table name from an admitTable
 // degradation log line.
 func degradedTable(line string) (string, bool) {
 	const prefix = `core: predict table "`

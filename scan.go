@@ -41,9 +41,9 @@ func (m *Model) LoadSourceScan(r io.Reader) (*SourceScan, error) {
 // Fold scores one chunk and folds it into the scan.
 func (s *SourceScan) Fold(c *colstore.Chunk) { s.s.Fold(c) }
 
-// SkipDegraded consumes one stream position without folding it, for
-// chunks the caller had to drop.
-func (s *SourceScan) SkipDegraded() { s.s.SkipDegraded() }
+// SkipDegraded consumes chunk c without folding it, for chunks the
+// caller had to drop. The chunk still counts as scanned.
+func (s *SourceScan) SkipDegraded(c *colstore.Chunk) { s.s.SkipDegraded(c) }
 
 // Pos returns the number of stream positions consumed (folded plus
 // degraded). A resuming caller skips exactly Pos chunks of the reopened
@@ -69,21 +69,5 @@ func (s *SourceScan) Finish(schema []string) ([]Finding, error) {
 		return nil, err
 	}
 	core.SortFindings(fs)
-	m := s.m
-	if m.opts != nil && m.opts.FDR > 0 {
-		fs = core.FDRFilter(fs, m.opts.FDR)
-	}
-	out := make([]Finding, len(fs))
-	for i, f := range fs {
-		out[i] = Finding{
-			Class:  publicClass(f.Class),
-			Table:  f.Table,
-			Column: f.Column,
-			Rows:   f.Rows,
-			Values: f.Values,
-			Score:  f.LR,
-			Detail: f.Detail,
-		}
-	}
-	return out, nil
+	return s.m.publicFindings(fs), nil
 }

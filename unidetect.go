@@ -376,22 +376,7 @@ func (m *Model) DetectSource(ctx context.Context, src Source) ([]Finding, error)
 		return nil, err
 	}
 	core.SortFindings(fs)
-	if m.opts != nil && m.opts.FDR > 0 {
-		fs = core.FDRFilter(fs, m.opts.FDR)
-	}
-	out := make([]Finding, len(fs))
-	for i, f := range fs {
-		out[i] = Finding{
-			Class:  publicClass(f.Class),
-			Table:  f.Table,
-			Column: f.Column,
-			Rows:   f.Rows,
-			Values: f.Values,
-			Score:  f.LR,
-			Detail: f.Detail,
-		}
-	}
-	return out, nil
+	return m.publicFindings(fs), nil
 }
 
 // DetectAll scans many tables concurrently and returns all findings
@@ -399,22 +384,7 @@ func (m *Model) DetectSource(ctx context.Context, src Source) ([]Finding, error)
 // pattern-significance scores share the ranking, as the paper's union of
 // per-class ranked lists does, §2.2.3).
 func (m *Model) DetectAll(ctx context.Context, tables []*Table) []Finding {
-	fs := m.predictor().DetectAll(ctx, tables)
-	if m.opts != nil && m.opts.FDR > 0 {
-		fs = core.FDRFilter(fs, m.opts.FDR)
-	}
-	out := make([]Finding, len(fs))
-	for i, f := range fs {
-		out[i] = Finding{
-			Class:  publicClass(f.Class),
-			Table:  f.Table,
-			Column: f.Column,
-			Rows:   f.Rows,
-			Values: f.Values,
-			Score:  f.LR,
-			Detail: f.Detail,
-		}
-	}
+	out := m.publicFindings(m.predictor().DetectAll(ctx, tables))
 	if m.patterns != nil {
 		alpha := m.core.Config.Alpha
 		for _, t := range tables {
@@ -431,6 +401,27 @@ func (m *Model) DetectAll(ctx context.Context, tables []*Table) []Finding {
 			}
 		}
 		sort.SliceStable(out, func(i, j int) bool { return out[i].Score < out[j].Score })
+	}
+	return out
+}
+
+// publicFindings applies the FDR filter (Options.FDR) to ranked core
+// findings and converts the survivors to the public form.
+func (m *Model) publicFindings(fs []core.Finding) []Finding {
+	if m.opts != nil && m.opts.FDR > 0 {
+		fs = core.FDRFilter(fs, m.opts.FDR)
+	}
+	out := make([]Finding, len(fs))
+	for i, f := range fs {
+		out[i] = Finding{
+			Class:  publicClass(f.Class),
+			Table:  f.Table,
+			Column: f.Column,
+			Rows:   f.Rows,
+			Values: f.Values,
+			Score:  f.LR,
+			Detail: f.Detail,
+		}
 	}
 	return out
 }
@@ -511,7 +502,7 @@ func Load(r io.Reader, opts *Options) (*Model, error) {
 // own corpus). Use it to grow a model incrementally or to parallelize
 // training across corpus shards.
 func Merge(a, b *Model) (*Model, error) {
-	cm, err := core.MergeModels(a.core, b.core)
+	cm, err := core.Merge(a.core, b.core)
 	if err != nil {
 		return nil, fmt.Errorf("unidetect: merge: %w", err)
 	}
