@@ -12,6 +12,11 @@
 // runs it; the threshold absorbs scheduler noise). Alloc counts are
 // reported for context but fail only on -max-allocs-regress, which is
 // stricter to enable than the timing gate since allocs/op are stable.
+//
+// When the baseline carries a counters block (BENCH_core.json does), the
+// block gates exactly: every baseline counter must be present in the
+// candidate with the same value, since the counters are deterministic
+// for the report's corpus seed. An empty block gates nothing and fails.
 package main
 
 import (
@@ -20,7 +25,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strings"
+
+	"github.com/unidetect/unidetect/internal/stats"
 )
 
 // benchmark mirrors cmd/benchjson's per-benchmark record.
@@ -33,22 +41,54 @@ type benchmark struct {
 
 type report struct {
 	Benchmarks []benchmark `json:"benchmarks"`
+	// Counters is nil when the report has no counters block.
+	Counters map[string]float64 `json:"counters"`
 }
 
-func load(path string) (map[string]benchmark, error) {
+func load(path string) (map[string]benchmark, map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var rep report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	out := make(map[string]benchmark, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		out[b.Name] = b
 	}
-	return out, nil
+	return out, rep.Counters, nil
+}
+
+// gateCounters logs every baseline counter the candidate lacks or
+// reports with a different value, and returns how many there were.
+func gateCounters(baseline, candidate map[string]float64) int {
+	if len(baseline) == 0 {
+		log.Printf("FAIL counters: the baseline block is empty; it gates nothing")
+		return 1
+	}
+	keys := make([]string, 0, len(baseline))
+	for k := range baseline {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	failed := 0
+	for _, k := range keys {
+		got, ok := candidate[k]
+		switch {
+		case !ok:
+			log.Printf("FAIL counter %s: present in baseline, missing from candidate", k)
+			failed++
+		case !stats.SameFloat(got, baseline[k]):
+			log.Printf("FAIL counter %s: %v -> %v", k, baseline[k], got)
+			failed++
+		}
+	}
+	if failed == 0 {
+		log.Printf("ok   counters: all %d match the baseline exactly", len(keys))
+	}
+	return failed
 }
 
 func main() {
@@ -62,11 +102,11 @@ func main() {
 		log.Fatal("benchgate: -candidate is required")
 	}
 
-	baseline, err := load(*baselinePath)
+	baseline, baseCounters, err := load(*baselinePath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	candidate, err := load(*candidatePath)
+	candidate, candCounters, err := load(*candidatePath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,6 +156,9 @@ func main() {
 	}
 	if gated == 0 {
 		log.Fatalf("benchgate: no baseline benchmark matches %q; the gate is vacuous", *pattern)
+	}
+	if baseCounters != nil {
+		failed += gateCounters(baseCounters, candCounters)
 	}
 	if failed > 0 {
 		log.Fatalf("benchgate: %d check(s) failed", failed)

@@ -14,10 +14,10 @@ import (
 // This file implements the serving fast path: the compact LR index in
 // place of nested map lookups, column-granular work units in place of
 // table shards, pooled scratch buffers, the per-column measurement
-// cache, and score, the one scoring kernel both drivers (DetectAll and
-// SourceScan) share. Predictor.Reference swaps the kernel for the plain
-// referenceScore (predict.go), and internal/difftest holds the two to
-// byte-identical findings.
+// cache, and score, the one scoring kernel of detectTables, which
+// DetectAll and SourceScan.Finish share. Predictor.Reference swaps the
+// kernel for the plain referenceScore (predict.go), and internal/difftest
+// holds the two to byte-identical findings.
 
 // BuildIndex compiles a trained model into the compact serving index
 // (internal/lrindex). The model's grids must already be finalized —
@@ -109,12 +109,12 @@ func (p *Predictor) getScratch() *Scratch {
 	return NewScratch()
 }
 
-// scoreState accumulates one table's (or one stream's) findings with
-// the cross-candidate dedup of DetectAll: per (class, row set), keep the
-// most confident finding. DetectAll's assembly pass borrows the one in a
-// pooled Scratch and resets it per table, carrying its map buckets, key
-// order and key buffer from table to table; a SourceScan owns one for
-// the whole stream.
+// scoreState accumulates one table's findings with the cross-candidate
+// dedup of DetectAll: per (class, row set), keep the most confident
+// finding. detectAllFast's assembly pass borrows the one in a pooled
+// Scratch and resets it per table, carrying its map buckets, key order
+// and key buffer from table to table; the reference path keeps a local
+// one.
 type scoreState struct {
 	best   map[string]Finding
 	order  []string
@@ -132,14 +132,13 @@ func (st *scoreState) reset() {
 	st.order = st.order[:0]
 }
 
-// score is the scoring kernel of both drivers: it looks up the LR of
-// every valid measurement of det (taken on table name) in the compact
-// index, keeps those with LR <= Alpha, rebases their rows through rm,
-// and folds them into st with DetectAll's dedup preference.
-// referenceScore is its oracle.
+// score is the scoring kernel: it looks up the LR of every valid
+// measurement of det (taken on table name) in the compact index, keeps
+// those with LR <= Alpha, and folds them into st with DetectAll's dedup
+// preference. referenceScore is its oracle.
 //
 // alloc-budget: 4 dedup keys intern on first sight or on a better finding; map probes convert without copying
-func (p *Predictor) score(st *scoreState, name string, det Detector, ms []Measurement, rm rowMap) {
+func (p *Predictor) score(st *scoreState, name string, det Detector, ms []Measurement) {
 	if len(ms) == 0 {
 		return
 	}
@@ -160,12 +159,11 @@ func (p *Predictor) score(st *scoreState, name string, det Detector, ms []Measur
 			continue
 		}
 		pm.findings.With(cls.String()).Inc()
-		rows := rm.apply(meas.Rows)
 		f := Finding{
 			Class:   cls,
 			Table:   name,
 			Column:  meas.Column,
-			Rows:    rows,
+			Rows:    meas.Rows,
 			Values:  meas.Values,
 			LR:      lr,
 			Theta1:  meas.Theta1,
@@ -173,7 +171,7 @@ func (p *Predictor) score(st *scoreState, name string, det Detector, ms []Measur
 			Support: support,
 			Detail:  meas.Detail,
 		}
-		st.keyBuf = appendDedupKey(st.keyBuf[:0], cls, rows)
+		st.keyBuf = appendDedupKey(st.keyBuf[:0], cls, meas.Rows)
 		prev, seen := st.best[string(st.keyBuf)]
 		switch {
 		case !seen:
@@ -250,10 +248,10 @@ type fastUnit struct {
 	col int // column position, or -1 for a table-level unit
 }
 
-// admitTable runs the per-table chaos gate of DetectAll. Both paths
-// run it over the call's tables in order before any measuring, so a
-// chaos schedule hits each site with the same per-site ordinals and
-// drops the same tables on both.
+// admitTable runs the per-table chaos gate of DetectAll. Both scorers
+// sit behind it, and it runs over the call's tables in order before any
+// measuring, so a chaos schedule hits each site with the same per-site
+// ordinals and drops the same tables on both.
 //
 // alloc-budget: 4 chaos admission gate: recover shield and degradation logging, called only under fault injection
 func (p *Predictor) admitTable(ctx context.Context, t *table.Table) (ok bool) {
@@ -272,17 +270,17 @@ func (p *Predictor) admitTable(ctx context.Context, t *table.Table) (ok bool) {
 	return true
 }
 
-// detectAllFast is the batched fast path of DetectAll: every admitted
-// table (skip marks the others) is decomposed into column-granular
-// units, a bounded worker pool measures them with pooled scratch (so one
-// wide table spreads across the pool, and /v1/batch requests coalesced
-// into one call batch columns across requests), and a sequential
-// assembly pass scores the results through the kernel in declared
-// detector and column order. Findings are therefore byte-identical to
-// the reference regardless of worker interleaving.
+// detectAllFast is the batched fast path of detectTables: every table
+// is decomposed into column-granular units, a bounded worker pool
+// measures them with pooled scratch (so one wide table spreads across
+// the pool, and /v1/batch requests coalesced into one call batch columns
+// across requests), and a sequential assembly pass scores the results
+// through the kernel in declared detector and column order. Findings are
+// therefore byte-identical to the reference regardless of worker
+// interleaving.
 //
 // alloc-budget: 10 per-batch pipeline setup: unit layout, result buffers, worker pool and assembly output, amortized over every column of the call
-func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table, skip []bool) []Finding {
+func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table) []Finding {
 	pm := p.metrics()
 
 	// Units are laid out table-major, detectors in declared order,
@@ -290,9 +288,6 @@ func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table, sk
 	// so assembly is a single forward walk.
 	var units []fastUnit
 	for ti, t := range tables {
-		if skip[ti] {
-			continue
-		}
 		for di, det := range p.Detectors {
 			if _, ok := det.(ColumnMeasurer); ok {
 				for pos := range t.Columns {
@@ -361,9 +356,6 @@ func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table, sk
 	st := &sc.score
 	ui := 0
 	for ti, t := range tables {
-		if skip[ti] {
-			continue
-		}
 		pm.tables.Inc()
 		bad := poisoned[ti].Load()
 		if bad {
@@ -374,7 +366,7 @@ func (p *Predictor) detectAllFast(ctx context.Context, tables []*table.Table, sk
 			var sec float64
 			consume := func() {
 				if !bad {
-					p.score(st, t.Name, det, results[ui], nil)
+					p.score(st, t.Name, det, results[ui])
 				}
 				sec += durs[ui]
 				ui++

@@ -57,8 +57,8 @@ type predictMetrics struct {
 	// Streaming-scan instrumentation (SourceScan, so DetectSource and
 	// jobs alike). Chunk and byte counters count every consumed chunk,
 	// folded or degraded, and are deterministic for a given source; the
-	// latency histogram times Fold, is wall-clock and is excluded from
-	// baselines.
+	// latency histogram times Fold's sketch fold, is wall-clock, and its
+	// buckets and sum are excluded from baselines.
 	chunksScanned    *obs.Counter
 	scanBytes        *obs.Counter
 	scanDegraded     *obs.Counter
@@ -97,7 +97,7 @@ func newPredictMetrics(r *obs.Registry) predictMetrics {
 		scanDegraded: r.Counter("unidetect_scan_degraded_chunks_total",
 			"Chunks dropped by graceful degradation during streaming scans."),
 		scanChunkSeconds: r.Histogram("unidetect_scan_chunk_seconds",
-			"Per-chunk streaming scan latency of folded chunks (measure plus scoring).", nil),
+			"Per-chunk streaming scan latency of folded chunks (the sketch fold only; detection runs once at end of stream).", nil),
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 // trained with, and scores new tables at interactive speed (§2.2.3: online
 // prediction is metric computation plus a lookup).
 //
-// It has two drivers: DetectAll for in-memory tables (a column-granular
-// worker pool, fastpath.go) and SourceScan for streams (scan.go), which
-// DetectSource and the async job store both drive. Both score through one
-// kernel, Predictor.score.
+// It has one detect path, detectTables: a column-granular worker pool
+// (fastpath.go) scoring through one kernel, Predictor.score, or
+// referenceScore under Reference. DetectAll runs it over in-memory
+// tables; a stream (SourceScan, scan.go, which DetectSource and the
+// async job store both drive) only folds its chunks into a sketch and
+// runs it once over the table the sketch decodes to.
 type Predictor struct {
 	Model     *Model
 	Detectors []Detector
@@ -39,8 +41,8 @@ type Predictor struct {
 	// oracle of the differential harness (internal/difftest): each
 	// detector's own Measure, the model's map-backed LR and string dedup
 	// keys, with no LR index, measurement cache, worker pool or shared
-	// scratch. The drivers, chaos admission and row rebasing stay the
-	// same, and the fast path must produce byte-identical findings.
+	// scratch. Chaos admission, the stream sketch and row rebasing stay
+	// the same, and the fast path must produce byte-identical findings.
 	Reference bool
 	// CacheSize overrides the per-column measurement cache budget
 	// (total entries across shards): 0 means the default, negative
@@ -65,8 +67,8 @@ type Predictor struct {
 	cacheReady atomic.Bool
 	// cache is resolved from CacheSize on first fast-path use.
 	cache *measureCache
-	// scratches pools the scratch buffers of every driver: DetectAll's
-	// workers and assembly pass, and each SourceScan.Fold.
+	// scratches pools the scratch buffers of detectAllFast's workers
+	// and assembly pass.
 	scratches sync.Pool
 }
 
@@ -87,33 +89,45 @@ func NewPredictor(m *Model, detectors []Detector, env *Env) *Predictor {
 // within one table are deduplicated, keeping the most confident
 // (smallest LR).
 //
-// Chaos admission runs first, table by table. The fast path then
-// batches the column-granular units of every admitted table through a
-// bounded worker pool (fastpath.go); Reference scores the admitted
-// tables one after another with referenceScore.
+// Chaos admission runs first, table by table; detectTables then scores
+// the admitted tables.
 func (p *Predictor) DetectAll(ctx context.Context, tables []*table.Table) []Finding {
 	sp := obs.StartSpan(ctx, "core/detect_all")
 	sp.Tag("tables", len(tables))
 	defer sp.End()
-	skip := make([]bool, len(tables))
 	if p.Inject != nil {
-		for i, t := range tables {
-			skip[i] = !p.admitTable(ctx, t)
+		admitted := make([]*table.Table, 0, len(tables))
+		for _, t := range tables {
+			if p.admitTable(ctx, t) {
+				admitted = append(admitted, t)
+			}
 		}
+		tables = admitted
 	}
+	return p.detectTables(ctx, tables)
+}
+
+// detectTables is the one detect path, shared by DetectAll and
+// SourceScan.Finish: the fast path batches the column-granular units of
+// every table through a bounded worker pool (fastpath.go); Reference
+// scores the tables one after another with referenceScore. Findings come
+// back ranked.
+//
+// alloc-budget: 1 the reference path's result growth; the fast path allocates in detectAllFast
+func (p *Predictor) detectTables(ctx context.Context, tables []*table.Table) []Finding {
 	if !p.Reference {
-		return p.detectAllFast(ctx, tables, skip)
+		return p.detectAllFast(ctx, tables)
 	}
 	var out []Finding
 	var st scoreState
-	for ti, t := range tables {
-		if skip[ti] || ctx.Err() != nil {
-			continue
+	for _, t := range tables {
+		if ctx.Err() != nil {
+			break
 		}
 		p.metrics().tables.Inc()
 		st.reset()
 		for _, det := range p.Detectors {
-			p.referenceScore(&st, t, det, nil)
+			p.referenceScore(&st, t, det)
 		}
 		out = append(out, st.findings()...)
 	}
@@ -122,13 +136,13 @@ func (p *Predictor) DetectAll(ctx context.Context, tables []*table.Table) []Find
 }
 
 // referenceScore is the plain reference of PAPER.md §2.2.3's online
-// step, the oracle both Reference drivers score with: measure t with
-// det's own Measure, evaluate each valid measurement's LR from the
-// model's maps (Model.LR), keep those with LR <= Alpha, rebase their
-// rows through rm, and fold them into st by plain dedupKey strings.
+// step, the oracle detectTables scores with under Reference: measure t
+// with det's own Measure, evaluate each valid measurement's LR from the
+// model's maps (Model.LR), keep those with LR <= Alpha, and fold them
+// into st by plain dedupKey strings.
 //
-// alloc-budget: 1 key order growth; the oracle allocates freely by design and is hot only through the Reference branch of SourceScan
-func (p *Predictor) referenceScore(st *scoreState, t *table.Table, det Detector, rm rowMap) {
+// alloc-budget: 1 key order growth; the oracle allocates freely by design and is hot only through the Reference branch of detectTables
+func (p *Predictor) referenceScore(st *scoreState, t *table.Table, det Detector) {
 	cls := det.Class()
 	for _, meas := range det.Measure(t, p.Env) {
 		if !meas.Valid {
@@ -138,12 +152,11 @@ func (p *Predictor) referenceScore(st *scoreState, t *table.Table, det Detector,
 		if lr > p.Model.Config.Alpha {
 			continue
 		}
-		rows := rm.apply(meas.Rows)
 		f := Finding{
 			Class:   cls,
 			Table:   t.Name,
 			Column:  meas.Column,
-			Rows:    rows,
+			Rows:    meas.Rows,
 			Values:  meas.Values,
 			LR:      lr,
 			Theta1:  meas.Theta1,
@@ -151,7 +164,7 @@ func (p *Predictor) referenceScore(st *scoreState, t *table.Table, det Detector,
 			Support: support,
 			Detail:  meas.Detail,
 		}
-		key := dedupKey(cls, rows)
+		key := dedupKey(cls, meas.Rows)
 		prev, seen := st.best[key]
 		if !seen {
 			st.order = append(st.order, key)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -9,16 +10,18 @@ import (
 	"io"
 
 	"github.com/unidetect/unidetect/internal/colstore"
+	"github.com/unidetect/unidetect/internal/table"
 )
 
-// This file implements SourceScan, the one streaming driver: per-chunk
-// scoring plus the end-of-stream sketch pass, driven one chunk at a time
-// by the caller, with the whole intermediate state serializable between
-// chunks. DetectSource is a loop over it. The async job store
-// checkpoints a SourceScan after every chunk, so a killed daemon reloads
-// the state, skips the chunks already consumed, and finishes with
-// findings identical to an uninterrupted scan — the per-chunk analogue
-// of the training checkpoint's kill→resume contract.
+// This file implements SourceScan, the streaming front end of the detect
+// path: chunks fold into a dictionary sketch one at a time, driven by the
+// caller, with the whole intermediate state serializable between chunks,
+// and at end of stream the sketch decodes to a table that DetectAll's
+// table path scores once. DetectSource is a loop over it. The async job
+// store checkpoints a SourceScan after every chunk, so a killed daemon
+// reloads the state, skips the chunks already consumed, and finishes
+// with findings identical to an uninterrupted scan — the per-chunk
+// analogue of the training checkpoint's kill→resume contract.
 
 // scanMagic heads a serialized SourceScan. The trailing byte versions
 // the wire layout, like the checkpoint and .ucol magics.
@@ -33,7 +36,9 @@ const scanMaxFrame = 256 << 20
 // chunk at a time (or SkipDegraded one the caller had to drop), Save
 // between chunks for crash safety, and Finish at end of stream.
 // DetectSource runs exactly this sequence, so a caller driving the same
-// chunk stream gets the findings DetectSource returns.
+// chunk stream gets the findings DetectSource returns. Those are the
+// findings DetectAll gives for the table of the folded rows, whatever
+// the chunk size.
 //
 // A SourceScan is not safe for concurrent use; each scan belongs to one
 // worker.
@@ -41,17 +46,13 @@ type SourceScan struct {
 	p        *Predictor
 	name     string
 	sk       sourceSketch
-	st       scoreState
 	pos      int // stream positions consumed: folded + degraded chunks
 	degraded int
 }
 
 // NewSourceScan starts a resumable scan of the named table.
 func (p *Predictor) NewSourceScan(name string) *SourceScan {
-	p.metrics().tables.Inc()
-	s := &SourceScan{p: p, name: name}
-	s.st.reset()
-	return s
+	return &SourceScan{p: p, name: name}
 }
 
 // Name returns the table name the scan was started with.
@@ -68,33 +69,13 @@ func (s *SourceScan) Degraded() int { return s.degraded }
 // Rows returns the number of source rows folded so far.
 func (s *SourceScan) Rows() int { return s.sk.rows }
 
-// Fold scores one chunk's columns and folds it into the end-of-stream
-// sketch. The scorer is picked here: the kernel over cached per-column
-// measurements, or referenceScore under Predictor.Reference.
-//
-// alloc-budget: 1 the chunk's one-segment row map, which score does not retain
+// Fold folds one chunk into the scan's dictionary sketch. No detector
+// runs until Finish.
 func (s *SourceScan) Fold(c *colstore.Chunk) {
-	p := s.p
-	start := p.Obs.Now()
+	start := s.p.Obs.Now()
 	s.consume(c)
 	s.sk.fold(c)
-	ct := c.Table(s.name)
-	rm := rowMap{{start: 0, base: c.Base}}
-	sc := p.getScratch()
-	for _, det := range p.Detectors {
-		cmr, ok := det.(ColumnMeasurer)
-		switch {
-		case !ok:
-		case p.Reference:
-			p.referenceScore(&s.st, ct, det, rm)
-		default:
-			for pos := range ct.Columns {
-				p.score(&s.st, ct.Name, det, p.measureColumn(cmr, ct, pos, sc), rm)
-			}
-		}
-	}
-	p.scratches.Put(sc)
-	p.metrics().scanChunkSeconds.Observe((p.Obs.Now() - start).Seconds())
+	s.p.metrics().scanChunkSeconds.Observe((s.p.Obs.Now() - start).Seconds())
 }
 
 // SkipDegraded consumes chunk c without folding it: its rows vanish
@@ -115,49 +96,44 @@ func (s *SourceScan) consume(c *colstore.Chunk) {
 	s.pos++
 }
 
-// Finish runs the table-level detectors over the materialized sketch
-// and returns the stream's findings in first-seen dedup order
-// (unsorted). schema names the columns of an empty stream (sources
-// report it even before the first chunk). The scan must not be folded
-// into after Finish.
+// Finish decodes the sketch into a table, scores it once through
+// DetectAll's table path (after chaos admission, which the stream did
+// per chunk), and maps each finding's rows back to source rows. The
+// findings come back ranked: the row map is strictly increasing, so
+// dedup and ranking on sketch rows agree with source rows. schema names
+// the columns of an empty stream (sources report it even before the
+// first chunk). The scan must not be folded into after Finish.
+//
+// alloc-budget: 1 the one-table batch handed to detectTables
 func (s *SourceScan) Finish(schema []string) ([]Finding, error) {
-	p := s.p
 	tbl, err := s.sk.materialize(s.name, schema)
 	if err != nil {
 		return nil, err
 	}
-	for _, det := range p.Detectors {
-		_, ok := det.(ColumnMeasurer)
-		switch {
-		case ok:
-		case p.Reference:
-			p.referenceScore(&s.st, tbl, det, s.sk.segs)
-		default:
-			p.score(&s.st, tbl.Name, det, p.measureTable(det, tbl), s.sk.segs)
-		}
+	// Finish's signature carries no context; like Fold, it runs to
+	// completion.
+	fs := s.p.detectTables(context.TODO(), []*table.Table{tbl})
+	for i := range fs {
+		fs[i].Rows = s.sk.segs.apply(fs[i].Rows)
 	}
-	return s.st.findings(), nil
+	return fs, nil
 }
 
 // scanWire is the serialized form of a SourceScan: the dictionary-
 // encoded sketch (dictionaries are rebuilt from the value tables on
-// load) plus the dedup score state. Everything is gob-friendly by
-// construction — Finding holds only plain values.
+// load). Scans saved when Fold still scored chunks also carry Order and
+// Best fields of per-chunk findings; gob skips fields this struct lacks,
+// so such a scan resumes from its sketch alone.
 type scanWire struct {
 	Name     string
 	Pos      int
 	Degraded int
 
-	// Sketch.
 	Cols []string
 	Vals [][]string
 	IDs  [][]uint32
 	Segs []scanWireSeg
 	Rows int
-
-	// Score state.
-	Order []string
-	Best  map[string]Finding
 }
 
 type scanWireSeg struct {
@@ -182,8 +158,6 @@ func (s *SourceScan) Save(w io.Writer) error {
 		Vals:     s.sk.vals,
 		IDs:      s.sk.ids,
 		Rows:     s.sk.rows,
-		Order:    s.st.order,
-		Best:     s.st.best,
 	}
 	for _, seg := range s.sk.segs {
 		wire.Segs = append(wire.Segs, scanWireSeg{Start: seg.start, Base: seg.base})
@@ -265,15 +239,6 @@ func (p *Predictor) restoreScan(wire scanWire) (*SourceScan, error) {
 		return nil, fmt.Errorf("core: scan state has %d columns but %d value tables and %d id columns",
 			len(wire.Cols), len(wire.Vals), len(wire.IDs))
 	}
-	if len(wire.Order) != len(wire.Best) {
-		return nil, fmt.Errorf("core: scan state order/best mismatch (%d keys, %d findings)",
-			len(wire.Order), len(wire.Best))
-	}
-	for _, k := range wire.Order {
-		if _, ok := wire.Best[k]; !ok {
-			return nil, fmt.Errorf("core: scan state order key missing from findings")
-		}
-	}
 	s := &SourceScan{p: p, name: wire.Name, pos: wire.Pos, degraded: wire.Degraded}
 	s.sk = sourceSketch{
 		names: wire.Cols,
@@ -307,10 +272,5 @@ func (p *Predictor) restoreScan(wire scanWire) (*SourceScan, error) {
 		}
 		s.sk.segs = append(s.sk.segs, rowSeg{start: seg.Start, base: seg.Base})
 	}
-	s.st.reset()
-	for k, f := range wire.Best {
-		s.st.best[k] = f
-	}
-	s.st.order = wire.Order
 	return s, nil
 }

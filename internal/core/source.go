@@ -13,17 +13,18 @@ import (
 
 // This file implements the streaming scan: DetectSource scores a
 // chunked columnar source (internal/colstore) without ever holding the
-// whole table's cells in memory. It is a loop over SourceScan (scan.go),
-// the one streaming driver the async job store drives too: column-
-// granular detectors run chunk by chunk with row indices rebased to
-// source coordinates; the table-level FD detectors, which need whole
-// columns, run at end of stream over a dictionary-encoded sketch
-// accumulated during the scan — repeated cell strings are stored once,
-// so the resident footprint is one chunk plus the distinct-value
-// dictionaries, not the table.
+// source's chunks in memory. It is a loop over SourceScan (scan.go),
+// which the async job store drives too: each chunk folds into a
+// dictionary-encoded sketch — repeated cell strings are stored once, so
+// the resident footprint is one chunk plus the distinct-value
+// dictionaries and one id per cell — and at end of stream the sketch
+// decodes to a table that every detector scores once, as DetectAll
+// scores an in-memory table, with row indices rebased to source
+// coordinates.
 
-// DetectSource scores a streaming source and returns its findings in
-// first-seen dedup order (unsorted). The source is drained but not
+// DetectSource scores a streaming source and returns its findings ranked
+// as DetectAll ranks them: exactly DetectAll's findings for the table of
+// the folded rows, at every chunk size. The source is drained but not
 // closed (the caller owns Close). A source error aborts the scan;
 // injected chaos faults instead degrade the failing chunk — its rows
 // vanish from the scan — and the scan continues. Each chunk is released
@@ -64,10 +65,9 @@ type rowSeg struct {
 
 // rowMap rebases the row indices a detector reports to source rows:
 // each segment covers the measured rows from its start up to the next
-// segment's. SourceScan.Fold maps a chunk with one segment
-// {start: 0, base: c.Base}; Finish maps the sketch with its per-chunk
-// segments, which differ from the identity only when chaos degraded a
-// chunk mid-stream. A nil map is the identity.
+// segment's. SourceScan.Finish maps the sketch's findings with its
+// per-chunk segments, which differ from the identity only when chaos
+// degraded a chunk mid-stream. A nil map is the identity.
 type rowMap []rowSeg
 
 // apply rebases rows through m. The identity aliases its input;
@@ -94,8 +94,8 @@ func (m rowMap) apply(rows []int) []int {
 	return out
 }
 
-// sourceSketch accumulates the dictionary-encoded column sketch the
-// table-level detectors run over at end of stream. Cell strings are
+// sourceSketch accumulates the dictionary-encoded column sketch every
+// detector runs over at end of stream. Cell strings are
 // interned once per distinct value (cloned out of the chunk arenas, so
 // released chunks are not pinned); per-cell state is one uint32 id.
 type sourceSketch struct {
@@ -147,8 +147,8 @@ func (sk *sourceSketch) fold(c *colstore.Chunk) {
 }
 
 // materialize decodes the sketch into a table named name for the
-// table-level detectors. A sketch that saw no chunks still defines the
-// schema's columns, zero rows each.
+// detectors. A sketch that saw no chunks still defines the schema's
+// columns, zero rows each.
 //
 // alloc-budget: 4 the decoded table, once per stream: column list, per-column value slices and headers, and table.New's error path
 func (sk *sourceSketch) materialize(name string, schema []string) (*table.Table, error) {
@@ -169,7 +169,7 @@ func (sk *sourceSketch) materialize(name string, schema []string) (*table.Table,
 	return table.New(name, cols...)
 }
 
-// admitChunk runs the per-chunk chaos gate of DetectSource. Both paths
+// admitChunk runs the per-chunk chaos gate of DetectSource. Both scorers
 // run the same loop, so a chaos schedule hits the site with the same
 // per-chunk ordinals and degrades the same chunks on both.
 //

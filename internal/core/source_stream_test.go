@@ -64,8 +64,9 @@ func residencyTable(t *testing.T, rows int) *table.Table {
 // TestDetectSourceResidency streams a corpus several times the chunk
 // budget through both DetectSource paths with an instrumented source:
 // the driver must release every chunk before pulling the next, so at
-// most one chunk per column is ever resident, and the scan counters
-// must account for exactly the chunks and bytes the source served.
+// most one chunk per column is ever resident, the scan counters must
+// account for exactly the chunks and bytes the source served, and the
+// stream must count as one scored table.
 func TestDetectSourceResidency(t *testing.T) {
 	m, bg := trainSmall(t)
 	dets := detectors.All(m.Config, detectors.Options{})
@@ -96,6 +97,10 @@ func TestDetectSourceResidency(t *testing.T) {
 			}
 			if got := scanCounter(t, reg, "unidetect_scan_bytes_total"); got != float64(src.bytes) {
 				t.Fatalf("unidetect_scan_bytes_total = %v, want %d", got, src.bytes)
+			}
+			// The stream is one table, scored once at end of stream.
+			if got := scanCounter(t, reg, "unidetect_predict_tables_total"); got != 1 {
+				t.Fatalf("unidetect_predict_tables_total = %v, want 1", got)
 			}
 		})
 	}

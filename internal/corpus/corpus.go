@@ -245,17 +245,3 @@ func hashToken(tok string) uint64 {
 	h.Write([]byte(tok))
 	return h.Sum64()
 }
-
-// TopTokens returns the k most prevalent token hashes with counts, for
-// diagnostics.
-func (ix *TokenIndex) TopTokens(k int) []int32 {
-	counts := make([]int32, 0, len(ix.counts))
-	for _, v := range ix.counts {
-		counts = append(counts, v)
-	}
-	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
-	if k < len(counts) {
-		counts = counts[:k]
-	}
-	return counts
-}

@@ -148,18 +148,3 @@ func TestRelPrevalence(t *testing.T) {
 		t.Errorf("empty corpus RelPrevalence = %v", got)
 	}
 }
-
-func TestTopTokens(t *testing.T) {
-	tables := []*table.Table{
-		mkTable("t1", table.NewColumn("c", []string{"a b"})),
-		mkTable("t2", table.NewColumn("c", []string{"a"})),
-	}
-	ix := BuildTokenIndex(tables)
-	top := ix.TopTokens(1)
-	if len(top) != 1 || top[0] != 2 {
-		t.Errorf("TopTokens = %v", top)
-	}
-	if len(ix.TopTokens(10)) != 2 {
-		t.Errorf("TopTokens(10) = %v", ix.TopTokens(10))
-	}
-}

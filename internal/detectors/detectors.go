@@ -23,9 +23,13 @@ func All(cfg core.Config, opts Options) []core.Detector {
 	if opts.WithDict {
 		sp.Dict = wordlist.Dictionary()
 	}
+	out := &Outlier{Cfg: cfg}
+	if opts.OutlierSD {
+		out.Metric = DispersionSD
+	}
 	ds := []core.Detector{
 		sp,
-		&Outlier{Cfg: cfg, UseSD: opts.OutlierSD},
+		out,
 		&Uniqueness{Cfg: cfg},
 		&FD{Cfg: cfg},
 	}

@@ -48,7 +48,7 @@ func TestOutlierSkipsShortAndNonNumeric(t *testing.T) {
 
 func TestOutlierSDVariantDiffers(t *testing.T) {
 	mad := &Outlier{Cfg: cfg()}
-	sd := &Outlier{Cfg: cfg(), UseSD: true}
+	sd := &Outlier{Cfg: cfg(), Metric: DispersionSD}
 	tbl := table.MustNew("t",
 		col("V", "10", "11", "12", "10", "11", "12", "11", "1000"),
 	)

@@ -42,26 +42,16 @@ func (d Dispersion) String() string {
 // the most outlying value", featurization {type, row bucket, log-fit}.
 type Outlier struct {
 	Cfg core.Config
-	// UseSD switches the dispersion metric from MAD to SD — the robust-
-	// statistics ablation of Figure 8(b). (Equivalent to Metric =
-	// DispersionSD; kept for the ablation call sites.)
-	UseSD bool
-	// Metric selects the dispersion metric when UseSD is false.
+	// Metric selects the dispersion metric; DispersionSD is the robust-
+	// statistics ablation of Figure 8(b).
 	Metric Dispersion
-}
-
-func (d *Outlier) metric() Dispersion {
-	if d.UseSD {
-		return DispersionSD
-	}
-	return d.Metric
 }
 
 // maxScore routes to the configured dispersion kernel.
 //
 // alloc-budget: 2 the IQR/MAD kernels sort a copy inside internal/stats; the kernels are shared with training
 func (d *Outlier) maxScore(vals []float64) (float64, int) {
-	switch d.metric() {
+	switch d.Metric {
 	case DispersionSD:
 		return stats.MaxSD(vals)
 	case DispersionIQR:

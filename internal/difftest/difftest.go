@@ -9,12 +9,13 @@
 // match, with float fields compared via math.Float64bits so that even a
 // last-ulp drift in LR or θ computation fails the harness. A run trains
 // a fresh model on a seeded synthetic corpus, scores an error-injected
-// eval set through both predictors' drivers — DetectAll, DetectSource,
-// and a SourceScan driven chunk by chunk with a checkpoint round trip
-// after every chunk, as the async job store drives it — and diffs the
-// outputs; with a chaos schedule configured, every side carries a
-// same-seed fault injector so the degraded table or chunk set must agree
-// too.
+// eval set through both predictors' entry points — DetectAll,
+// DetectSource, and a SourceScan driven chunk by chunk with a checkpoint
+// round trip after every chunk, as the async job store drives it — and
+// diffs the outputs, streams also against the in-memory DetectAll at
+// every chunk size. With a chaos schedule configured, every side carries
+// a same-seed fault injector so the degraded table or chunk set must
+// agree too.
 package difftest
 
 import (
@@ -170,11 +171,11 @@ var ChunkSizes = []int{1, 7, 64, colstore.WholeTable}
 // on the reference and the fast path, and through the job leg — a fast
 // SourceScan driven chunk by chunk with a Save → LoadSourceScan round
 // trip after every chunk, as the async job store drives it. All three
-// must agree byte-for-byte at every size. Without chaos, the
-// whole-table stream must additionally match the in-memory DetectAll,
-// pinning that the driver degenerates to the ordinary scan when
-// chunking is off. With a chaos schedule, same-seed injectors gate every
-// chunk on all three, which must degrade the same chunks (per-size
+// must agree byte-for-byte at every size. Without chaos, they must also
+// equal the in-memory DetectAll of the same table, on the reference and
+// the fast path, at every size: a stream's findings do not depend on
+// how it is chunked. With a chaos schedule, same-seed injectors gate
+// every chunk on all three, which must degrade the same chunks (per-size
 // outputs then legitimately differ; path equivalence must not).
 func RunSource(t testing.TB, cfg Config) Result {
 	t.Helper()
@@ -187,6 +188,12 @@ func RunSource(t testing.TB, cfg Config) Result {
 
 	res := Result{Classes: map[core.Class]int{}}
 	for _, tab := range eval {
+		var inMemory []core.Finding
+		if len(cfg.Chaos) == 0 {
+			one := []*table.Table{tab}
+			inMemory = ref.DetectAll(ctx, one)
+			diffFindings(t, fmt.Sprintf("seed %d DetectAll(%q)", cfg.Seed, tab.Name), inMemory, fast.DetectAll(ctx, one))
+		}
 		for _, rows := range ChunkSizes {
 			what := fmt.Sprintf("seed %d DetectSource(%q, chunk=%d)", cfg.Seed, tab.Name, rows)
 			opts := colstore.Options{ChunkRows: rows}
@@ -204,14 +211,10 @@ func RunSource(t testing.TB, cfg Config) Result {
 				t.Fatalf("difftest: %s: job leg: %v", what, err)
 			}
 			diffFindings(t, what+" vs job leg", want, job)
+			if len(cfg.Chaos) == 0 {
+				diffFindings(t, what+" vs in-memory DetectAll", inMemory, want)
+			}
 			if rows == colstore.WholeTable {
-				if len(cfg.Chaos) == 0 {
-					sorted := append([]core.Finding(nil), got...)
-					core.SortFindings(sorted)
-					one := []*table.Table{tab}
-					diffFindings(t, what+" vs reference DetectAll", ref.DetectAll(ctx, one), sorted)
-					diffFindings(t, what+" vs fast DetectAll", fast.DetectAll(ctx, one), sorted)
-				}
 				res.Findings = append(res.Findings, got...)
 				for _, f := range got {
 					res.Classes[f.Class]++

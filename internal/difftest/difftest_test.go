@@ -102,10 +102,10 @@ func TestEdgeTables(t *testing.T) {
 
 // TestSourceSweep drives the streaming-scan sweep: per eval table and
 // chunk size, the fast DetectSource and the checkpointed job leg must
-// match the reference DetectSource byte-for-byte, and the whole-table
-// stream must match the in-memory DetectAll — with several error
-// classes exercised so all detector kinds (per-chunk column scoring and
-// the end-of-stream sketch pass) contribute evidence.
+// match the reference DetectSource byte-for-byte, and every chunk size
+// must match the in-memory DetectAll — with several error classes
+// exercised so column and column-pair detectors both contribute
+// evidence.
 func TestSourceSweep(t *testing.T) {
 	classes := map[core.Class]bool{}
 	for seed := int64(1); seed <= 3; seed++ {

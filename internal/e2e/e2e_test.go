@@ -69,14 +69,20 @@ func tenantCSV(tenant string) string {
 }
 
 // jobCSV is a larger deterministic table for the async path: unique
-// filler rows plus the typo pair, tenant-tagged like tenantCSV.
+// filler rows plus the typo pair, tenant-tagged like tenantCSV, and one
+// quantity scaled ×1000 mid-table — an outlier whole-table detection
+// finds, so a job always streams a finding.
 func jobCSV(tenant string, rows int, seed int64) string {
 	rnd := rand.New(rand.NewSource(seed))
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s_name,%s_qty\n", tenant, tenant)
 	fmt.Fprintf(&sb, "%s Kevin Doeling,10\n%s Kevin Dowling,11\n", tenant, tenant)
 	for i := 0; i < rows; i++ {
-		fmt.Fprintf(&sb, "%s item-%06d,%d\n", tenant, i, 10+rnd.Intn(90))
+		qty := 10 + rnd.Intn(90)
+		if i == rows/2 {
+			qty *= 1000
+		}
+		fmt.Fprintf(&sb, "%s item-%06d,%d\n", tenant, i, qty)
 	}
 	return sb.String()
 }
@@ -375,6 +381,9 @@ func TestJobResumeByteIdentical(t *testing.T) {
 			ctlID := submitJob(t, control, csv)
 			want := waitJobBytes(t, control, ctlID)
 			control.stop(t)
+			if bytes.Count(bytes.TrimSpace(want), []byte("\n")) == 0 {
+				t.Fatal("control run streamed no findings; test has no power")
+			}
 
 			// Chaos: same upload, killed at the first durable checkpoint,
 			// restarted, run to completion.

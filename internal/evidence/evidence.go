@@ -8,9 +8,7 @@
 package evidence
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -289,29 +287,4 @@ func clampBin(b, n int) int {
 		return n - 1
 	}
 	return b
-}
-
-// gridWire is the gob wire format (exported-field mirror without the
-// derived prefix sums).
-type gridWire struct {
-	N      int
-	Counts []int64
-	Total  int64
-}
-
-// Encode writes the grid's samples (not the derived sums) to w.
-func (g *Grid) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(gridWire{N: g.N, Counts: g.Counts, Total: g.Total})
-}
-
-// DecodeGrid reads a grid previously written by Encode.
-func DecodeGrid(r io.Reader) (*Grid, error) {
-	var w gridWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, err
-	}
-	if w.N <= 0 || len(w.Counts) != w.N*w.N {
-		return nil, fmt.Errorf("evidence: corrupt grid: n=%d counts=%d", w.N, len(w.Counts))
-	}
-	return &Grid{N: w.N, Counts: w.Counts, Total: w.Total}, nil
 }

@@ -1,7 +1,6 @@
 package evidence
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,33 +208,6 @@ func TestGridMerge(t *testing.T) {
 		}
 	}()
 	a.Merge(NewGrid(5))
-}
-
-func TestGridEncodeDecode(t *testing.T) {
-	g := NewGrid(8)
-	g.Add(2, 3)
-	g.Add(7, 0)
-	var buf bytes.Buffer
-	if err := g.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeGrid(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != 8 || got.Total != 2 {
-		t.Errorf("decoded N=%d Total=%d", got.N, got.Total)
-	}
-	got.Finalize()
-	if got.Numerator(OutlierDirections, 2, 3) != 2 {
-		t.Error("decoded grid answers wrong counts")
-	}
-}
-
-func TestDecodeGridCorrupt(t *testing.T) {
-	if _, err := DecodeGrid(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("junk should not decode")
-	}
 }
 
 func TestPointLR(t *testing.T) {

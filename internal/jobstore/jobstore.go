@@ -357,8 +357,10 @@ func (s *Store) setState(rec Record) {
 func (s *Store) fail(rec Record, err error) {
 	rec.State = StateFailed
 	rec.Error = err.Error()
-	s.setState(rec)
+	// Count before publishing, so a reader that sees the terminal state
+	// also sees it counted.
 	s.m.finished.With(string(StateFailed)).Inc()
+	s.setState(rec)
 	s.logf("jobstore: %s failed: %v", rec.ID, err)
 }
 
@@ -455,8 +457,8 @@ func (s *Store) runJob(rec Record) {
 	if rec.Degraded > 0 {
 		rec.State = StateDegraded
 	}
-	s.setState(rec)
 	s.m.finished.With(string(rec.State)).Inc()
+	s.setState(rec)
 	_ = os.Remove(s.statePath(rec.ID)) // checkpoint is spent
 	s.logf("jobstore: %s %s (%d chunks, %d findings)", rec.ID, rec.State, rec.Chunks, rec.Findings)
 }

@@ -42,12 +42,16 @@ func testModel(t testing.TB) *unidetect.Model {
 	return model
 }
 
+// errorTable generates one error-injected table named "upload".
+func errorTable(rows int, seed int64) *table.Table {
+	return datagen.Generate(datagen.Spec{Name: "upload", Profile: datagen.ProfileWeb,
+		NumTables: 1, AvgRows: float64(rows), AvgCols: 5, ErrorRate: 2, Seed: seed}).Tables[0]
+}
+
 // errorCSV renders an error-injected generated table as CSV.
 func errorCSV(t testing.TB, rows int, seed int64) []byte {
 	t.Helper()
-	tab := datagen.Generate(datagen.Spec{Name: "upload", Profile: datagen.ProfileWeb,
-		NumTables: 1, AvgRows: float64(rows), AvgCols: 5, ErrorRate: 2, Seed: seed}).Tables[0]
-	return tableCSV(t, tab)
+	return tableCSV(t, errorTable(rows, seed))
 }
 
 func tableCSV(t testing.TB, tab *table.Table) []byte {
@@ -181,7 +185,11 @@ func TestJobMatchesDetectSource(t *testing.T) {
 // Open resumes it, and the finished findings file is byte-identical to
 // an uninterrupted run's.
 func TestParkResumeByteIdentical(t *testing.T) {
-	body := errorCSV(t, 2000, 13)
+	// Whole-table detection finds none of the errors datagen injects into
+	// this 444-row table, so plant one it does find: a Year scaled ×1000.
+	tab := errorTable(2000, 13)
+	tab.Column("Year").Values[200] += "000"
+	body := tableCSV(t, tab)
 
 	// Control: uninterrupted run.
 	ctrlDir := t.TempDir()

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -326,18 +325,4 @@ func runUnit(ctx context.Context, ft FT, jm jobMetrics, site string, retries *at
 			}
 		}
 	}
-}
-
-// SortedKeys returns the keys of m in sorted order; a convenience for
-// deterministic iteration over job results in tests and reports.
-func SortedKeys[K interface {
-	comparable
-	~string
-}, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -121,13 +121,6 @@ func TestContextCancellation(t *testing.T) {
 	_ = err
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	if got := SortedKeys(m); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}
-
 func TestDefaultWorkers(t *testing.T) {
 	// Workers <= 0 must still execute.
 	got, err := Run(context.Background(), Config{Workers: -1}, []int{1, 2},

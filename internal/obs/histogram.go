@@ -131,10 +131,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration in seconds — the exposition unit
-// every *_seconds histogram uses.
-func (h *Histogram) ObserveDuration(d float64) { h.Observe(d) }
-
 // snapshot folds the shards into cumulative bucket counts, the total
 // count, and the value sum. Concurrent Observes may straddle the reads;
 // the snapshot is a consistent-enough monitoring view, not a barrier.

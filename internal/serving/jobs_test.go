@@ -8,13 +8,16 @@ package serving
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/unidetect/unidetect/internal/datagen"
 	"github.com/unidetect/unidetect/internal/tenants"
 )
 
@@ -86,37 +89,83 @@ func submitJob(t *testing.T, h http.Handler, path, ct, body string, hdr ...strin
 	return status.ID
 }
 
-// TestJobSubmitAndStream: the async path must land on the same
-// findings the sync endpoint serves for the same table.
-func TestJobSubmitAndStream(t *testing.T) {
-	h := newHandler(t, testModel(t), jobsConfig(t))
-
-	rec := post(h, "/v1/detect?name=upload", typoCSV)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("sync detect status = %d", rec.Code)
+// errorUploadCSV renders a generated table with injected errors as CSV.
+// It has at least 100 rows, so at 8-row job chunks the job spans many
+// chunks.
+func errorUploadCSV(t *testing.T) string {
+	t.Helper()
+	tab := datagen.Generate(datagen.Spec{Name: "upload", Profile: datagen.ProfileWeb,
+		NumTables: 1, AvgRows: 400, AvgCols: 5, ErrorRate: 3, Seed: 5}).Tables[0]
+	if tab.NumRows() < 100 {
+		t.Fatalf("upload has %d rows, want at least 100", tab.NumRows())
 	}
-	var sync detectResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &sync); err != nil {
+	var sb strings.Builder
+	w := csv.NewWriter(&sb)
+	hdr := make([]string, tab.NumCols())
+	for j, c := range tab.Columns {
+		hdr[j] = c.Name
+	}
+	_ = w.Write(hdr)
+	for i := 0; i < tab.NumRows(); i++ {
+		_ = w.Write(tab.Row(i))
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
 		t.Fatal(err)
 	}
+	return sb.String()
+}
 
-	id := submitJob(t, h, "/v1/jobs?name=upload", "text/csv", typoCSV)
-	lines := waitJobLine(t, h, id)
-	last := lines[len(lines)-1]
-	if last["state"] != "done" {
-		t.Fatalf("terminal line = %+v, want done", last)
-	}
-	findings := lines[:len(lines)-1]
-	if len(findings) != len(sync.Findings) {
-		t.Fatalf("job streamed %d findings, sync served %d", len(findings), len(sync.Findings))
-	}
-	for i, f := range findings {
-		if f["class"] != sync.Findings[i].Class || f["column"] != sync.Findings[i].Column {
-			t.Fatalf("finding %d: job %+v != sync %+v", i, f, sync.Findings[i])
-		}
-	}
-	if int(last["findings"].(float64)) != len(findings) {
-		t.Errorf("summary count %v != %d streamed lines", last["findings"], len(findings))
+// TestJobSubmitAndStream: the async path must land on the same
+// findings the sync endpoint serves for the same table — a one-chunk
+// upload and one that spans many job chunks.
+func TestJobSubmitAndStream(t *testing.T) {
+	h := newHandler(t, testModel(t), jobsConfig(t))
+	for _, tc := range []struct{ name, body string }{
+		{"one-chunk", typoCSV},
+		{"many-chunks", errorUploadCSV(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := post(h, "/v1/detect?name=upload", tc.body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("sync detect status = %d", rec.Code)
+			}
+			var sync detectResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sync); err != nil {
+				t.Fatal(err)
+			}
+			if len(sync.Findings) == 0 {
+				t.Fatal("sync detect found nothing; test has no power")
+			}
+
+			id := submitJob(t, h, "/v1/jobs?name=upload", "text/csv", tc.body)
+			lines := waitJobLine(t, h, id)
+			last := lines[len(lines)-1]
+			if last["state"] != "done" {
+				t.Fatalf("terminal line = %+v, want done", last)
+			}
+			findings := lines[:len(lines)-1]
+			if len(findings) != len(sync.Findings) {
+				t.Fatalf("job streamed %d findings, sync served %d", len(findings), len(sync.Findings))
+			}
+			for i, line := range findings {
+				raw, err := json.Marshal(line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var f findingJSON
+				if err := json.Unmarshal(raw, &f); err != nil {
+					t.Fatal(err)
+				}
+				want := sync.Findings[i]
+				if f.Class != want.Class || f.Column != want.Column || !reflect.DeepEqual(f.Rows, want.Rows) || f.Score != want.Score {
+					t.Fatalf("finding %d: job %+v != sync %+v", i, f, want)
+				}
+			}
+			if int(last["findings"].(float64)) != len(findings) {
+				t.Errorf("summary count %v != %d streamed lines", last["findings"], len(findings))
+			}
+		})
 	}
 }
 

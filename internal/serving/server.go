@@ -76,7 +76,8 @@ type Config struct {
 	// JobWorkers bounds the job worker pool (0 = jobstore default).
 	JobWorkers int
 	// JobChunkRows is the job scan chunk geometry (0 = colstore
-	// default). Must stay stable across restarts for resume.
+	// default): it sets how often a job checkpoints, not what it finds.
+	// Must stay stable across restarts for resume.
 	JobChunkRows int
 	// JobChunkDelay throttles job scans between chunks; the e2e chaos
 	// harness uses it to widen kill windows. 0 = full speed.

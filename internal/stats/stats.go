@@ -105,14 +105,8 @@ func IQR(xs []float64) float64 {
 	return quantileSorted(s, 0.75) - quantileSorted(s, 0.25)
 }
 
-// SDScore returns |v - mean| / SD (Equation 8). If the SD is zero or
-// undefined the score is 0 for v == mean and +Inf otherwise.
-func SDScore(v float64, xs []float64) float64 {
-	return dispersionScore(v, Mean(xs), SD(xs))
-}
-
-// MADScore returns |v - median| / MAD (Equation 9), with the same
-// degenerate-dispersion convention as SDScore.
+// MADScore returns |v - median| / MAD (Equation 9). If the MAD is zero
+// or undefined the score is 0 for v == median and +Inf otherwise.
 func MADScore(v float64, xs []float64) float64 {
 	return dispersionScore(v, Median(xs), MAD(xs))
 }
@@ -126,12 +120,6 @@ func dispersionScore(v, center, disp float64) float64 {
 		return math.Inf(1)
 	}
 	return d / disp
-}
-
-// IQRScore returns |v - median| / IQR, the interquartile-range analogue
-// of the MAD score ([65], mentioned as an alternative dispersion in §3.1).
-func IQRScore(v float64, xs []float64) float64 {
-	return dispersionScore(v, Median(xs), IQR(xs))
 }
 
 // MaxMAD returns the largest MADScore over xs together with the index of

@@ -38,7 +38,7 @@ func (m *Model) LoadSourceScan(r io.Reader) (*SourceScan, error) {
 	return &SourceScan{m: m, s: s}, nil
 }
 
-// Fold scores one chunk and folds it into the scan.
+// Fold folds one chunk into the scan; detection runs once, in Finish.
 func (s *SourceScan) Fold(c *colstore.Chunk) { s.s.Fold(c) }
 
 // SkipDegraded consumes chunk c without folding it, for chunks the
@@ -59,15 +59,15 @@ func (s *SourceScan) Rows() int { return s.s.Rows() }
 // Save serializes the scan state as one atomic frame.
 func (s *SourceScan) Save(w io.Writer) error { return s.s.Save(w) }
 
-// Finish runs the end-of-stream detectors and returns the findings with
-// exactly DetectSource's post-processing (ranking, FDR filtering,
-// public classes), so a chunk-at-a-time scan is byte-identical to one
-// DetectSource call. schema names the columns of an empty stream.
+// Finish scores the folded rows once, as DetectAll scores a table, and
+// returns the ranked findings with exactly DetectSource's
+// post-processing (FDR filtering, public classes), so a chunk-at-a-time
+// scan is byte-identical to one DetectSource call. schema names the
+// columns of an empty stream.
 func (s *SourceScan) Finish(schema []string) ([]Finding, error) {
 	fs, err := s.s.Finish(schema)
 	if err != nil {
 		return nil, err
 	}
-	core.SortFindings(fs)
 	return s.m.publicFindings(fs), nil
 }

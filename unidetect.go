@@ -363,19 +363,17 @@ func (m *Model) Detect(ctx context.Context, t *Table) []Finding {
 }
 
 // DetectSource scans a streaming chunked source and returns its findings
-// ranked by Score. Column-granular detectors score each chunk as it
-// streams (a windowed approximation of their whole-column statistics
-// when chunking is on; identical when the source yields one chunk),
-// while FD detectors run exact over a dictionary-compressed sketch at
-// end of stream — so memory stays one chunk plus the distinct-value
-// dictionaries. The Auto-Detect pattern model (Options.WithPatterns)
-// needs whole columns and does not run on streams.
+// ranked by Score. Chunks fold into a dictionary-compressed sketch as
+// they stream, so memory stays one chunk plus the distinct-value
+// dictionaries and one id per cell; at end of stream every detector
+// scores the folded table once. The findings are DetectAll's for the
+// same table, whatever the chunk size. The Auto-Detect pattern model
+// (Options.WithPatterns) does not run on streams.
 func (m *Model) DetectSource(ctx context.Context, src Source) ([]Finding, error) {
 	fs, err := m.predictor().DetectSource(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	core.SortFindings(fs)
 	return m.publicFindings(fs), nil
 }
 
