@@ -35,6 +35,7 @@ FUZZ_TARGETS = \
 	./internal/table=FuzzParseNumber \
 	./internal/table=FuzzTokenize \
 	./internal/table=FuzzInferType \
+	./internal/corpus=FuzzTokenHashes \
 	./internal/core=FuzzCheckpointLoad \
 	./internal/core=FuzzCheckpointRoundTrip \
 	./internal/core=FuzzModelMerge \

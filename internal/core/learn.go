@@ -81,6 +81,9 @@ func TrainWith(ctx context.Context, cfg Config, opts TrainOptions, bg *corpus.Co
 	env := &Env{Index: bg.Index(), Obs: reg}
 
 	mapper := func(t *table.Table, emit func(bucketID, binPair)) error {
+		// The column profiles the detectors share live for this task:
+		// the corpus keeps its tables for the whole job.
+		defer t.Release()
 		for _, det := range detectors {
 			q := det.Quantizer()
 			cls := det.Class()

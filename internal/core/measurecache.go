@@ -52,20 +52,45 @@ func fingerprintColumn(c *table.Column) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// fingerprintTable hashes every column of the table — names and values,
-// length-framed — for table-level detector memoization. The table's own
-// name is deliberately excluded: no detector reads it (Measure is a pure
-// function of the columns and the env), and the daemon namespaces batch
-// tables with a per-request prefix that would otherwise defeat reuse.
-// The pos = -1 sentinel in the cache key keeps table entries disjoint
-// from column entries.
+// columnKey is fingerprintColumn memoized on the column: a detect call
+// hashes each column once, however many detectors look it up, and
+// detectTables drops the memo with the column's profile when it
+// returns.
+func columnKey(c *table.Column) (h1, h2 uint64) {
+	if h1, h2, ok := c.Fingerprint(); ok {
+		return h1, h2
+	}
+	h1, h2 = fingerprintColumn(c)
+	c.SetFingerprint(h1, h2)
+	return h1, h2
+}
+
+// fingerprintTable is the key of table-level detector memoization,
+// derived from the columns' fingerprints (names and values,
+// length-framed) in position order, so a table costs no hashing beyond
+// its columns'. The table's own name is deliberately excluded: no
+// detector reads it (Measure is a pure function of the columns and the
+// env), and the daemon namespaces batch tables with a per-request
+// prefix that would otherwise defeat reuse. The pos = -1 sentinel in
+// the cache key keeps table entries disjoint from column entries.
 func fingerprintTable(t *table.Table) (h1, h2 uint64) {
 	h1, h2 = colstore.NewHash()
 	for _, c := range t.Columns {
-		h1, h2 = colstore.HashString(h1, h2, c.Name)
-		for _, v := range c.Values {
-			h1, h2 = colstore.HashString(h1, h2, v)
-		}
+		c1, c2 := columnKey(c)
+		h1, h2 = hashWord(h1, h2, c1)
+		h1, h2 = hashWord(h1, h2, c2)
+	}
+	return h1, h2
+}
+
+// hashWord folds the eight bytes of w into both accumulators, as
+// colstore.HashString folds a value's bytes; a fixed width needs no
+// length frame.
+func hashWord(h1, h2, w uint64) (uint64, uint64) {
+	for i := 0; i < 64; i += 8 {
+		b := (w >> i) & 0xff
+		h1 = (h1 ^ b) * colstore.FNVPrime64
+		h2 = (h2 ^ b) * colstore.FNVPrime64
 	}
 	return h1, h2
 }
@@ -126,7 +151,7 @@ func (mc *measureCache) get(cls Class, pos int, c *table.Column) ([]Measurement,
 	if mc == nil {
 		return nil, false
 	}
-	h1, h2 := fingerprintColumn(c)
+	h1, h2 := columnKey(c)
 	k := cacheKey{cls: cls, pos: int32(pos), h1: h1, h2: h2}
 	s := mc.shard(k)
 	s.mu.Lock()
@@ -182,7 +207,7 @@ func (mc *measureCache) put(cls Class, pos int, c *table.Column, ms []Measuremen
 	if mc == nil {
 		return
 	}
-	h1, h2 := fingerprintColumn(c)
+	h1, h2 := columnKey(c)
 	mc.insert(cacheKey{cls: cls, pos: int32(pos), h1: h1, h2: h2}, ms)
 }
 

@@ -111,10 +111,13 @@ func (p *Predictor) DetectAll(ctx context.Context, tables []*table.Table) []Find
 // SourceScan.Finish: the fast path batches the column-granular units of
 // every table through a bounded worker pool (fastpath.go); Reference
 // scores the tables one after another with referenceScore. Findings come
-// back ranked.
+// back ranked. The column profiles and fingerprint memos the detectors
+// and the cache built live for this call only: it drops them when it
+// returns, so tables the caller keeps do not keep them.
 //
 // alloc-budget: 1 the reference path's result growth; the fast path allocates in detectAllFast
 func (p *Predictor) detectTables(ctx context.Context, tables []*table.Table) []Finding {
+	defer releaseTables(tables)
 	if !p.Reference {
 		return p.detectAllFast(ctx, tables)
 	}
@@ -133,6 +136,13 @@ func (p *Predictor) detectTables(ctx context.Context, tables []*table.Table) []F
 	}
 	SortFindings(out)
 	return out
+}
+
+// releaseTables drops the profiles and fingerprint memos of tables.
+func releaseTables(tables []*table.Table) {
+	for _, t := range tables {
+		t.Release()
+	}
 }
 
 // referenceScore is the plain reference of PAPER.md §2.2.3's online

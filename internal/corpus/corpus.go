@@ -12,7 +12,9 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/unidetect/unidetect/internal/table"
 )
@@ -112,12 +114,13 @@ func BuildTokenIndex(tables []*table.Table) *TokenIndex {
 			defer wg.Done()
 			local := make(map[uint64]int32, 1024)
 			seen := make(map[uint64]bool, 128)
+			var hs []uint64
 			for _, t := range tables[lo:hi] {
 				clear(seen)
 				for _, col := range t.Columns {
 					for _, v := range col.Values {
-						for _, tok := range table.Tokenize(v) {
-							h := hashToken(tok)
+						hs = appendTokenHashes(hs[:0], v)
+						for _, h := range hs {
 							if !seen[h] {
 								seen[h] = true
 								local[h]++
@@ -152,21 +155,48 @@ func (ix *TokenIndex) Count(tok string) int {
 
 // Prevalence returns Prev(C) for a column: the average, over cells and
 // their tokens, of the token's table count (§3.3). Columns with no tokens
-// get prevalence 0.
+// get prevalence 0. It is computed once per column profile and index
+// and memoized on the profile, so every detector featurizing the column
+// in one detect call shares one pass.
 func (ix *TokenIndex) Prevalence(c *table.Column) float64 {
-	var total float64
-	var n int
-	for _, v := range c.Values {
-		toks := table.Tokenize(v)
-		if len(toks) == 0 {
+	p := c.Profile()
+	if v, ok := p.Memo(ix); ok {
+		return v
+	}
+	v := ix.prevalence(p)
+	p.SetMemo(ix, v)
+	return v
+}
+
+// prevalence computes Prevalence over a profile: one term, the mean
+// table count of a value's tokens, per distinct value, added over the
+// rows in row order — the same float additions in the same order as a
+// per-cell pass, so the result is bit-identical to it.
+//
+// alloc-budget: 1 one term per distinct value; the token-hash buffer starts on the stack
+func (ix *TokenIndex) prevalence(p *table.Profile) float64 {
+	terms := make([]float64, len(p.Distinct))
+	var buf [16]uint64
+	hs := buf[:0]
+	for i, d := range p.Distinct {
+		hs = appendTokenHashes(hs[:0], d.Value)
+		if len(hs) == 0 {
+			terms[i] = -1 // no tokens: the value's rows are not averaged
 			continue
 		}
 		var s float64
-		for _, tok := range toks {
-			s += float64(ix.counts[hashToken(tok)])
+		for _, h := range hs {
+			s += float64(ix.counts[h])
 		}
-		total += s / float64(len(toks))
-		n++
+		terms[i] = s / float64(len(hs))
+	}
+	var total float64
+	var n int
+	for _, code := range p.Codes {
+		if t := terms[code]; t >= 0 {
+			total += t
+			n++
+		}
 	}
 	if n == 0 {
 		return 0
@@ -244,4 +274,48 @@ func hashToken(tok string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(tok))
 	return h.Sum64()
+}
+
+// FNV-1a 64-bit parameters, as hash/fnv's New64a uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// appendTokenHashes appends to hs the hashToken of every token of v, in
+// order, exactly as over table.Tokenize(v), without building the
+// tokens. Tokens are runs of ASCII letters and digits after lowercasing.
+// An ASCII value is lowercased byte by byte on the fly; any other goes
+// through strings.ToLower as Tokenize's does, because lowercasing can
+// turn a non-ASCII rune into ASCII (the Kelvin sign into 'k'). Every
+// byte of a multi-byte or invalid sequence is at least utf8.RuneSelf, so
+// scanning bytes splits where Tokenize's rune scan does.
+//
+// alloc-budget: 2 non-ASCII values are lowercased as Tokenize does; the caller's hash buffer grows to its steady state
+func appendTokenHashes(hs []uint64, v string) []uint64 {
+	for i := 0; i < len(v); i++ {
+		if v[i] >= utf8.RuneSelf {
+			v = strings.ToLower(v)
+			break
+		}
+	}
+	h, in := uint64(fnvOffset64), false
+	for i := 0; i < len(v); i++ {
+		b := v[i]
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		if 'a' <= b && b <= 'z' || '0' <= b && b <= '9' {
+			h, in = (h^uint64(b))*fnvPrime64, true
+			continue
+		}
+		if in {
+			hs = append(hs, h)
+			h, in = fnvOffset64, false
+		}
+	}
+	if in {
+		hs = append(hs, h)
+	}
+	return hs
 }

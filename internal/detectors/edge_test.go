@@ -3,6 +3,7 @@ package detectors
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -115,12 +116,21 @@ func TestUniquenessEmptyColumnSkipped(t *testing.T) {
 	}
 }
 
-// Property: duplicateRows drop-set size always equals rows - distinct.
+// Property: duplicateRows drop-set size always equals rows - distinct,
+// its groups hold every row of a duplicated value, and the
+// profile-based Uniqueness measurement equals the one built on it.
 func TestDuplicateRowsProperty(t *testing.T) {
+	wide := cfg()
+	wide.MinRows, wide.EpsilonFrac = 1, 1
+	d := &Uniqueness{Cfg: wide}
 	f := func(raw []uint8) bool {
 		vals := make([]string, len(raw))
 		for i, b := range raw {
 			vals[i] = string(rune('a' + b%7)) // force collisions
+		}
+		tbl := table.MustNew("t", table.NewColumn("c", vals))
+		if !reflect.DeepEqual(d.MeasureColumn(tbl, 0, nil, nil), oracleUniqueness(d, tbl, 0, nil)) {
+			return false
 		}
 		drop, groups := duplicateRows(vals)
 		distinct := map[string]bool{}

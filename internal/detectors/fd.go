@@ -25,10 +25,9 @@ func (d *FD) Quantizer() evidence.Quantizer { return evidence.RatioQuantizer{N: 
 // Directions implements core.Detector.
 func (d *FD) Directions() evidence.Directions { return evidence.RatioDirections }
 
-// Measure implements core.Detector. Each column is encoded once as
-// first-occurrence integer codes, each lhs column's rows are grouped
-// once, and every candidate pair is counted over the codes: the
-// contingency-count form of FR.
+// Measure implements core.Detector. Every candidate pair is counted over
+// the first-occurrence codes of the columns' profiles, with each lhs
+// column's rows grouped once: the contingency-count form of FR.
 func (d *FD) Measure(t *table.Table, env *core.Env) (out []core.Measurement) {
 	defer func() { env.CountMeasurements(core.ClassFD, len(out)) }()
 	n := t.NumRows()
@@ -129,16 +128,14 @@ func (fc frCounts) fr() float64 {
 	return float64(fc.conforming) / float64(fc.tuples)
 }
 
-// fdScratch is one table's FD state: every column encoded once as
-// first-occurrence codes, the current lhs column's rows grouped by code,
-// and the counting arrays of the pair kernel. Once built, counting a
-// pair allocates nothing.
+// fdScratch is one table's FD state: the current lhs column's rows
+// grouped by code, and the counting arrays of the pair kernel. Columns
+// are read as their profiles' codes. Once built, counting a pair
+// allocates nothing.
 type fdScratch struct {
-	t     *table.Table
-	ids   map[string]int32
-	codes [][]int32 // per column; nil until first used
-	card  []int     // per column: number of distinct values
-	lhs   int       // column the grouping holds (-1: none)
+	t   *table.Table
+	lhs int     // column the grouping holds (-1: none)
+	l   []int32 // its codes
 	// The rows of lhs group g are rows[start[g]:start[g+1]], ascending.
 	start, next, rows []int32
 	// tally[c] counts rhs code c in the current group while
@@ -152,14 +149,11 @@ type fdScratch struct {
 
 // newFDScratch sizes an FD scratch for t.
 //
-// alloc-budget: 10 per-table scratch: value map, column index and counting arrays
+// alloc-budget: 7 per-table scratch: the header and the counting arrays
 func newFDScratch(t *table.Table) *fdScratch {
-	n, k := t.NumRows(), len(t.Columns)
+	n := t.NumRows()
 	return &fdScratch{
 		t:     t,
-		ids:   make(map[string]int32, n),
-		codes: make([][]int32, k),
-		card:  make([]int, k),
 		lhs:   -1,
 		start: make([]int32, n+1),
 		next:  make([]int32, n),
@@ -170,34 +164,18 @@ func newFDScratch(t *table.Table) *fdScratch {
 	}
 }
 
-// column returns column ci's first-occurrence codes, encoding it on
-// first use. Only columns in a measured pair are encoded: MaxFDPairs
-// bounds them, however wide the table.
-//
-// alloc-budget: 1 the column's codes, once per table
+// column returns column ci's first-occurrence codes, from its profile.
+// Only columns in a measured pair are profiled here: MaxFDPairs bounds
+// them, however wide the table.
 func (s *fdScratch) column(ci int) []int32 {
-	if s.codes[ci] != nil {
-		return s.codes[ci]
-	}
-	codes := make([]int32, s.t.NumRows())
-	clear(s.ids)
-	for row, v := range s.t.Columns[ci].Values {
-		id, seen := s.ids[v]
-		if !seen {
-			id = int32(len(s.ids))
-			s.ids[v] = id
-		}
-		codes[row] = id
-	}
-	s.codes[ci], s.card[ci] = codes, len(s.ids)
-	return codes
+	return s.t.Columns[ci].Profile().Codes
 }
 
 // groupBy groups the rows by column li's code: a counting sort, which
 // keeps every group's rows ascending.
 func (s *fdScratch) groupBy(li int) {
-	l := s.column(li)
-	m := s.card[li]
+	p := s.t.Columns[li].Profile()
+	l, m := p.Codes, len(p.Distinct)
 	start := s.start[:m+1]
 	clear(start)
 	for _, c := range l {
@@ -212,7 +190,7 @@ func (s *fdScratch) groupBy(li int) {
 		s.rows[next[c]] = int32(row)
 		next[c]++
 	}
-	s.start, s.lhs = start, li
+	s.start, s.lhs, s.l = start, li, l
 }
 
 // count is the pair kernel: FR and its perturbation for the grouped lhs
@@ -254,7 +232,7 @@ func (s *fdScratch) count(r []int32) frCounts {
 // alloc-budget: 2 the reported row list, sized exactly, built only for a valid candidate
 func (s *fdScratch) groupRows(n int) []int {
 	out := make([]int, 0, n)
-	for row, g := range s.codes[s.lhs] {
+	for row, g := range s.l {
 		if s.bad[g] == s.stamp {
 			out = append(out, row)
 		}

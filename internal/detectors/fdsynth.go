@@ -49,7 +49,8 @@ func (d *FDSynth) Measure(t *table.Table, env *core.Env) (out []core.Measurement
 	pairs := 0
 	for li, lc := range t.Columns {
 		var key feature.Key
-		keyed := false
+		var lhs synth.Lhs
+		keyed, prepared := false, false
 		for ri, rc := range t.Columns {
 			if li == ri {
 				continue
@@ -58,10 +59,13 @@ func (d *FDSynth) Measure(t *table.Table, env *core.Env) (out []core.Measurement
 				return out
 			}
 			pairs++
+			if !prepared {
+				lhs, prepared = synth.NewLhs(lc.Values), true
+			}
 			// Identity fits are vacuous: a column trivially "maps" to a
 			// copy of itself only when the table duplicates a column,
 			// which carries no FD-synthesis signal.
-			fit, ok := synth.Learn(lc.Values, rc.Values, d.minConforming())
+			fit, ok := synth.Learn(&lhs, rc.Values, d.minConforming())
 			if !ok {
 				continue
 			}

@@ -14,8 +14,8 @@ import (
 	"github.com/unidetect/unidetect/internal/table"
 )
 
-// This file keeps the string-map FD implementation as the oracle the
-// code-based pair kernel is held to.
+// This file keeps the string-map FD and uniqueness implementations as
+// the oracles the profile-based detectors are held to.
 
 // frStats summarizes one candidate FD (Cl -> Cr).
 type frStats struct {
@@ -145,7 +145,8 @@ func oracleFDSynth(d *FDSynth, t *table.Table, env *core.Env) []core.Measurement
 				return out
 			}
 			pairs++
-			fit, ok := synth.Learn(lc.Values, rc.Values, d.minConforming())
+			lhs := synth.NewLhs(lc.Values)
+			fit, ok := synth.Learn(&lhs, rc.Values, d.minConforming())
 			if !ok {
 				continue
 			}
@@ -181,6 +182,72 @@ func oracleFDSynth(d *FDSynth, t *table.Table, env *core.Env) []core.Measurement
 		}
 	}
 	return out
+}
+
+// duplicateRows returns (a) the row indices of every value occurrence
+// beyond the first — the natural O to drop — and (b) all rows holding a
+// duplicated value, for reporting.
+func duplicateRows(vals []string) (drop, groups []int) {
+	first := make(map[string]int, len(vals))
+	counted := make(map[string]bool)
+	for i, v := range vals {
+		j, seen := first[v]
+		if !seen {
+			first[v] = i
+			continue
+		}
+		drop = append(drop, i)
+		if !counted[v] {
+			counted[v] = true
+			groups = append(groups, j)
+		}
+		groups = append(groups, i)
+	}
+	sort.Ints(groups)
+	return drop, groups
+}
+
+// oracleUniqueness is Uniqueness.MeasureColumn as the string-map
+// implementation computed it.
+func oracleUniqueness(d *Uniqueness, t *table.Table, pos int, env *core.Env) []core.Measurement {
+	c := t.Columns[pos]
+	n := c.Len()
+	if n < d.Cfg.MinRows {
+		return nil
+	}
+	typ := c.Type()
+	if typ == table.TypeEmpty {
+		return nil
+	}
+	dup, dupGroups := duplicateRows(c.Values)
+	distinct := n - len(dup)
+	theta1 := float64(distinct) / float64(n)
+	eps := d.Cfg.Epsilon(n)
+	k := len(dup)
+	valid := k > 0 && k <= eps
+	if k > eps {
+		k = eps
+	}
+	m := core.Measurement{
+		Key: feature.Key{
+			Type: typ,
+			Rows: feature.RowBucket(n),
+			A:    feature.RelPrevalenceBucket(prevalenceOf(env, c)),
+			B:    feature.LeftnessBucket(pos),
+		},
+		Theta1: theta1,
+		Theta2: float64(distinct) / float64(n-k),
+		Valid:  valid,
+		Column: c.Name,
+		Detail: fmt.Sprintf("%.4f unique; %d duplicate row(s)", theta1, len(dup)),
+	}
+	if valid {
+		m.Rows = dupGroups
+		for _, r := range dupGroups {
+			m.Values = append(m.Values, c.Values[r])
+		}
+	}
+	return []core.Measurement{m}
 }
 
 // oracleTables are generated tables of every profile, with errors.
@@ -245,6 +312,33 @@ func TestFDSynthMatchesOracle(t *testing.T) {
 	}
 	if measured == 0 || valid == 0 {
 		t.Errorf("%d measurements, %d valid: the sweep does not reach row reporting", measured, valid)
+	}
+}
+
+// TestUniquenessMatchesOracle holds Uniqueness.MeasureColumn to the
+// string-map implementation on every column of the tables the FD oracle
+// test uses, at the default ε and at a wide one that validates more
+// columns.
+func TestUniquenessMatchesOracle(t *testing.T) {
+	tables := oracleTables(t)
+	env := &core.Env{Index: corpus.BuildTokenIndex(tables)}
+	wide := cfg()
+	wide.EpsilonFrac = 0.2
+	for _, c := range []core.Config{cfg(), wide} {
+		d := &Uniqueness{Cfg: c}
+		measured, valid := 0, 0
+		for _, tbl := range tables {
+			for pos := range tbl.Columns {
+				got, want := d.MeasureColumn(tbl, pos, env, nil), oracleUniqueness(d, tbl, pos, env)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s column %d: MeasureColumn differs from the oracle\n got %+v\nwant %+v", tbl.Name, pos, got, want)
+				}
+				measured, valid = measured+len(got), valid+countValid(got)
+			}
+		}
+		if measured == 0 || valid == 0 {
+			t.Errorf("ε=%v: %d measurements, %d valid: the sweep does not reach row reporting", c.EpsilonFrac, measured, valid)
+		}
 	}
 }
 

@@ -40,8 +40,8 @@ func (d *Spelling) Measure(t *table.Table, env *core.Env) []core.Measurement {
 
 // MeasureColumn implements core.ColumnMeasurer: the single column's
 // share of Measure's output. Both metrics come from one
-// strdist.SpellingMPD pass over the column's distinct values, in the
-// scratch's MPD buffers.
+// strdist.SpellingMPD pass over the distinct values of the column's
+// profile, in the scratch's MPD buffers.
 //
 // alloc-budget: 5 token-length featurization, the detail string and the returned measurement
 func (d *Spelling) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *core.Scratch) []core.Measurement {
@@ -59,7 +59,7 @@ func (d *Spelling) MeasureColumn(t *table.Table, pos int, env *core.Env, sc *cor
 	// Equation 3 minimizes LR over O, and with the §3.2 orientation a
 	// larger θ2 always yields a smaller LR (Theorem 1), so θ2 is the
 	// MPD left by the drop that raises it the most.
-	p, mpd2, ok := strdist.SpellingMPD(c.Values, d.Cfg.MPDCap, sc.MPD)
+	p, mpd2, ok := strdist.SpellingMPD(c.Profile(), d.Cfg.MPDCap, sc.MPD)
 	if !ok {
 		return nil // fewer than 2 distinct values, or none left after a drop
 	}

@@ -2,7 +2,6 @@ package detectors
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/unidetect/unidetect/internal/core"
 	"github.com/unidetect/unidetect/internal/evidence"
@@ -33,10 +32,10 @@ func (d *Uniqueness) Measure(t *table.Table, env *core.Env) []core.Measurement {
 }
 
 // MeasureColumn implements core.ColumnMeasurer: the single column's
-// share of Measure's output (the scratch is unused — the UR scan's
-// duplicate maps are value-count-shaped, not worth pooling).
+// share of Measure's output, by count arithmetic over the column's
+// profile (the scratch is unused).
 //
-// alloc-budget: 3 the detail string, duplicate-value report and returned measurement
+// alloc-budget: 4 the detail string, the duplicate-value report and the returned measurement
 func (d *Uniqueness) MeasureColumn(t *table.Table, pos int, env *core.Env, _ *core.Scratch) []core.Measurement {
 	c := t.Columns[pos]
 	n := c.Len()
@@ -47,15 +46,17 @@ func (d *Uniqueness) MeasureColumn(t *table.Table, pos int, env *core.Env, _ *co
 	if typ == table.TypeEmpty {
 		return nil
 	}
-	dup, dupGroups := duplicateRows(c.Values)
-	distinct := n - len(dup)
+	p := c.Profile()
+	distinct := len(p.Distinct)
 	theta1 := float64(distinct) / float64(n)
 	eps := d.Cfg.Epsilon(n)
 
-	// The perturbation may drop at most ε rows (Definition 2). With
-	// k = min(|dup|, ε) redundant rows dropped the column keeps all
-	// its distinct values: UR' = distinct / (n - k).
-	k := len(dup)
+	// The natural perturbation O drops every occurrence of a value
+	// beyond its first. With k = min(|O|, ε) redundant rows dropped
+	// (Definition 2) the column keeps all its distinct values:
+	// UR' = distinct / (n - k).
+	dup := n - distinct
+	k := dup
 	valid := k > 0 && k <= eps
 	if k > eps {
 		k = eps
@@ -74,50 +75,38 @@ func (d *Uniqueness) MeasureColumn(t *table.Table, pos int, env *core.Env, _ *co
 		Theta2: theta2,
 		Valid:  valid,
 		Column: c.Name,
-		Detail: fmt.Sprintf("%.4f unique; %d duplicate row(s)", theta1, len(dup)),
+		Detail: fmt.Sprintf("%.4f unique; %d duplicate row(s)", theta1, dup),
 	}
 	if valid {
 		// Report every row holding a duplicated value (both the
-		// original and the copy): the detection is "these rows
-		// collide"; which one is wrong is for the user to judge.
-		m.Rows = dupGroups
-		for _, r := range dupGroups {
-			m.Values = append(m.Values, c.Values[r])
+		// original and the copy), in row order: the detection is
+		// "these rows collide"; which one is wrong is for the user to
+		// judge.
+		held := 0
+		for _, v := range p.Distinct {
+			if v.Count > 1 {
+				held += int(v.Count)
+			}
+		}
+		m.Rows, m.Values = make([]int, held), make([]string, held)
+		i := 0
+		for r, code := range p.Codes {
+			if v := &p.Distinct[code]; v.Count > 1 {
+				m.Rows[i], m.Values[i] = r, v.Value
+				i++
+			}
 		}
 	}
 	return []core.Measurement{m}
 }
 
-// duplicateRows returns (a) the row indices of every value occurrence
-// beyond the first — the natural O to drop — and (b) all rows holding a
-// duplicated value, for reporting.
-//
-// alloc-budget: 5 first-occurrence maps are value-count-shaped and the row lists are returned; neither pools usefully
-func duplicateRows(vals []string) (drop, groups []int) {
-	first := make(map[string]int, len(vals))
-	counted := make(map[string]bool)
-	for i, v := range vals {
-		j, seen := first[v]
-		if !seen {
-			first[v] = i
-			continue
-		}
-		drop = append(drop, i)
-		if !counted[v] {
-			counted[v] = true
-			groups = append(groups, j)
-		}
-		groups = append(groups, i)
-	}
-	sort.Ints(groups)
-	return drop, groups
-}
-
 // prevalenceOf returns the column's relative token prevalence: the
 // average fraction of corpus tables its tokens occur in. Relative values
-// keep the featurization invariant to corpus size.
+// keep the featurization invariant to corpus size. The index memoizes
+// it on the column's profile, so uniqueness and the pair detectors'
+// featurization of one column share one pass.
 //
-// alloc-budget: 1 corpus prevalence tokenizes the column against the shared index
+// alloc-budget: 1 corpus prevalence profiles the column against the shared index
 func prevalenceOf(env *core.Env, c *table.Column) float64 {
 	if env == nil || env.Index == nil {
 		return 0

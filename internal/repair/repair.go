@@ -220,7 +220,8 @@ func suggestSynth(t *table.Table, f core.Finding) []Suggestion {
 	if lc == nil || rc == nil {
 		return nil
 	}
-	fit, ok := synth.Learn(lc.Values, rc.Values, 0.6)
+	lhs := synth.NewLhs(lc.Values)
+	fit, ok := synth.Learn(&lhs, rc.Values, 0.6)
 	if !ok {
 		return nil
 	}

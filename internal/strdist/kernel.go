@@ -4,17 +4,18 @@ import (
 	"math/bits"
 	"sort"
 	"unicode/utf8"
+
+	"github.com/unidetect/unidetect/internal/table"
 )
 
-// Scratch is the reusable state of SpellingMPD: the column's distinct
-// values in first-occurrence order with their first row, count and
-// distance metadata, the per-row distinct index, and the distance
-// buffers. Every buffer grows to the largest column the owner has seen
-// and is reused after that. A Scratch belongs to one goroutine at a time.
+// Scratch is the reusable state of SpellingMPD: the distance metadata
+// of the column's distinct values, in the profile's first-occurrence
+// order, and the distance buffers. Every buffer grows to the largest
+// column the owner has seen and is reused after that. A Scratch belongs
+// to one goroutine at a time.
 type Scratch struct {
-	ids       map[string]int32
 	vals      []value  // distinct values in first-occurrence order
-	code      []int32  // per row: its value's index in vals
+	code      []int32  // per row: its value's index in vals (the profile's codes)
 	runes     []rune   // decoded runes of every value, for the DP fallback
 	keys      []string // reversed values (blocked scan's suffix order), by value index
 	keysReady bool
@@ -36,10 +37,11 @@ type value struct {
 }
 
 // SpellingMPD computes both metrics of the spelling detector (§3.2) in
-// one pass: the closest pair p of vals, exactly as MinPairDistCapped
-// returns it, and θ2, the larger of the Dist values that
-// SecondMinPairDistCapped returns for dropping row p.I and row p.J. ok
-// is false when no pair exists or when neither drop leaves one.
+// one pass over a column's profile: the closest pair p of its values,
+// exactly as MinPairDistCapped returns it over the column's rows, and
+// θ2, the larger of the Dist values that SecondMinPairDistCapped returns
+// for dropping row p.I and row p.J. ok is false when no pair exists or
+// when neither drop leaves one.
 //
 // Columns of at most cap rows (cap <= 0 means ExactMPDCap) are scanned
 // over their distinct values: the first minimal pair over distinct
@@ -48,12 +50,13 @@ type value struct {
 // occurs again leaves MPD unchanged, so θ2 needs a scan only for pair
 // values that occur once; one joint scan serves both. Longer columns
 // keep the sorted-neighbourhood scan over rows, duplicates included.
-func SpellingMPD(vals []string, cap int, sc *Scratch) (p Pair, theta2 int, ok bool) {
+func SpellingMPD(prof *table.Profile, cap int, sc *Scratch) (p Pair, theta2 int, ok bool) {
 	if cap <= 0 {
 		cap = ExactMPDCap
 	}
-	sc.index(vals)
-	exact := len(vals) <= cap
+	sc.index(prof)
+	rows := len(sc.code)
+	exact := rows <= cap
 	if exact {
 		sc.ord = identity(sc.ord, len(sc.vals))
 		st := [1]scanState{{skip: -1, stop: 1, best: -1}}
@@ -62,13 +65,13 @@ func SpellingMPD(vals []string, cap int, sc *Scratch) (p Pair, theta2 int, ok bo
 			return Pair{}, 0, false
 		}
 		p = Pair{I: int(sc.vals[st[0].x].first), J: int(sc.vals[st[0].y].first), Dist: st[0].best}
-	} else if p, ok = sc.blocked(vals, -1); !ok {
+	} else if p, ok = sc.blocked(-1); !ok {
 		return Pair{}, 0, false
 	}
 	theta2 = -1
-	if len(vals)-1 > cap {
+	if rows-1 > cap {
 		for _, drop := range [2]int{p.I, p.J} {
-			if q, ok := sc.blocked(vals, drop); ok && q.Dist > theta2 {
+			if q, ok := sc.blocked(drop); ok && q.Dist > theta2 {
 				theta2 = q.Dist
 			}
 		}
@@ -81,26 +84,18 @@ func SpellingMPD(vals []string, cap int, sc *Scratch) (p Pair, theta2 int, ok bo
 	return p, theta2, true
 }
 
-// index dedupes vals into sc.vals and sc.code.
+// index describes the profile's distinct values into sc.vals and takes
+// its codes as sc.code.
 //
-// alloc-budget: 2 the value map and the distinct-value table grow to the largest column the scratch has seen, then are reused
-func (s *Scratch) index(vals []string) {
-	if s.ids == nil {
-		s.ids = make(map[string]int32)
-	}
-	clear(s.ids)
+// alloc-budget: 1 the distinct-value table grows to the most distinct values the scratch has seen, then is reused
+func (s *Scratch) index(prof *table.Profile) {
 	s.vals, s.runes = s.vals[:0], s.runes[:0]
 	s.keysReady, s.collide = false, false
-	s.code = growInt32(s.code, len(vals))
-	for row, v := range vals {
-		id, seen := s.ids[v]
-		if !seen {
-			id = int32(len(s.vals))
-			s.ids[v] = id
-			s.vals = append(s.vals, s.describe(v, row))
-		}
-		s.vals[id].count++
-		s.code[row] = id
+	s.code = prof.Codes
+	for _, d := range prof.Distinct {
+		v := s.describe(d.Value, int(d.First))
+		v.count = d.Count
+		s.vals = append(s.vals, v)
 	}
 }
 
@@ -266,16 +261,16 @@ func (s *Scratch) moved(u int32, drop, stop int) int {
 	return st[0].best
 }
 
-// blocked is minPairDistBlocked over the rows of vals other than drop
-// (drop < 0 keeps them all), duplicates included. It sorts the same row
-// sequence with comparators that answer exactly as the reference's, so
-// sort.Slice yields the same permutations and the windows visit the
-// same pairs; only the distance is the kernel's.
+// blocked is minPairDistBlocked over the rows of the column other than
+// drop (drop < 0 keeps them all), duplicates included. It sorts the
+// same row sequence with comparators that answer exactly as the
+// reference's, so sort.Slice yields the same permutations and the
+// windows visit the same pairs; only the distance is the kernel's.
 //
 // alloc-budget: 6 sort.Slice boxing and comparators pin the reference permutations; the row order grows once per scratch
-func (s *Scratch) blocked(vals []string, drop int) (Pair, bool) {
+func (s *Scratch) blocked(drop int) (Pair, bool) {
 	order := s.ord[:0]
-	for i := range vals {
+	for i := range s.code {
 		if i != drop {
 			order = append(order, int32(i))
 		}
@@ -308,7 +303,7 @@ func (s *Scratch) blocked(vals []string, drop int) (Pair, bool) {
 			}
 		}
 	}
-	scan(func(i, j int32) bool { return vals[i] < vals[j] })
+	scan(func(i, j int32) bool { return s.vals[s.code[i]].s < s.vals[s.code[j]].s })
 	if best != 1 {
 		s.reverseKeys()
 		scan(func(i, j int32) bool { return s.keys[s.code[i]] < s.keys[s.code[j]] })

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/unidetect/unidetect/internal/datagen"
+	"github.com/unidetect/unidetect/internal/table"
 )
 
 // oracleMPD is what the spelling detector computed before the kernel:
@@ -33,7 +34,7 @@ func oracleMPD(vals []string, cap int) (Pair, int, bool) {
 func checkKernel(t *testing.T, sc *Scratch, name string, vals []string, cap int) {
 	t.Helper()
 	wp, wt, wok := oracleMPD(vals, cap)
-	gp, gt, gok := SpellingMPD(vals, cap, sc)
+	gp, gt, gok := SpellingMPD(table.NewProfile(vals), cap, sc)
 	if gok != wok || (wok && (gp != wp || gt != wt)) {
 		t.Errorf("%s (cap %d, %d rows): SpellingMPD = %+v θ2=%d ok=%v, oracle %+v θ2=%d ok=%v",
 			name, cap, len(vals), gp, gt, gok, wp, wt, wok)
@@ -140,7 +141,7 @@ func FuzzSpellingMPD(f *testing.F) {
 		}
 		cap := int(capSeed) % (len(vals) + 2)
 		wp, wt, wok := oracleMPD(vals, cap)
-		gp, gt, gok := SpellingMPD(vals, cap, &Scratch{})
+		gp, gt, gok := SpellingMPD(table.NewProfile(vals), cap, &Scratch{})
 		if gok != wok || (wok && (gp != wp || gt != wt)) {
 			t.Fatalf("%q cap %d: SpellingMPD = %+v θ2=%d ok=%v, oracle %+v θ2=%d ok=%v",
 				vals, cap, gp, gt, gok, wp, wt, wok)
@@ -174,7 +175,7 @@ func TestBitParallelDistance(t *testing.T) {
 		if a == b {
 			continue
 		}
-		sc.index([]string{a, b})
+		sc.index(table.NewProfile([]string{a, b}))
 		bound := rng.Intn(70) - 1
 		full := Levenshtein(a, b)
 		gd, gok := sc.dist(0, 1, bound)
@@ -191,9 +192,9 @@ func TestSpellingMPDWarmScratchAllocs(t *testing.T) {
 		vals[i] = randomWord(rng, 8)
 	}
 	vals[150] = vals[20] + "x"
-	sc := &Scratch{}
-	SpellingMPD(vals, 0, sc)
-	if n := testing.AllocsPerRun(20, func() { SpellingMPD(vals, 0, sc) }); n != 0 {
+	prof, sc := table.NewProfile(vals), &Scratch{}
+	SpellingMPD(prof, 0, sc)
+	if n := testing.AllocsPerRun(20, func() { SpellingMPD(prof, 0, sc) }); n != 0 {
 		t.Errorf("SpellingMPD on a warm scratch: %v allocs/op, want 0", n)
 	}
 }
@@ -204,9 +205,9 @@ func BenchmarkSpellingMPD(b *testing.B) {
 	for i := range vals {
 		vals[i] = fmt.Sprintf("%s %s", randomWord(rng, 6), randomWord(rng, 7))
 	}
-	sc := &Scratch{}
+	prof, sc := table.NewProfile(vals), &Scratch{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SpellingMPD(vals, 0, sc)
+		SpellingMPD(prof, 0, sc)
 	}
 }

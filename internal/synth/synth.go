@@ -106,25 +106,62 @@ const (
 	maxCandidates = 3 + maxConcats + len(separators)*maxSplitIndex
 )
 
-// Learn searches the program space for the best program mapping xs to ys
-// row-wise, requiring at least minConforming fraction of exact matches.
-// It returns ok=false when no program clears the bar. Empty rows are
-// skipped from scoring (they neither support nor violate).
+// Lhs is an lhs column prepared for Learn once and shared by every rhs
+// column it is tried against: its values, and for each split program,
+// how many non-empty values have too few fields for it.
+type Lhs struct {
+	xs []string
+	// short[i] counts the non-empty values that splitCandidates[i]
+	// cannot select from: strings.Split leaves fewer than two fields or
+	// none at the candidate's index.
+	short [len(separators) * maxSplitIndex]int32
+}
+
+// NewLhs prepares the lhs column xs for Learn. Fields are counted with
+// strings.Count, which counts non-overlapping separators as
+// strings.Split splits on them.
+func NewLhs(xs []string) Lhs {
+	l := Lhs{xs: xs}
+	for _, x := range xs {
+		if x == "" {
+			continue
+		}
+		for si, sep := range separators {
+			n := strings.Count(x, sep)
+			for idx := 0; idx < maxSplitIndex; idx++ {
+				if n < max(1, idx) {
+					l.short[si*maxSplitIndex+idx]++
+				}
+			}
+		}
+	}
+	return l
+}
+
+// Learn searches the program space for the best program mapping the lhs
+// values to ys row-wise, requiring at least minConforming fraction of
+// exact matches. It returns ok=false when no program clears the bar.
+// Empty rows are skipped from scoring (they neither support nor
+// violate).
 //
 // The search is programming-by-example in miniature: candidate programs
 // are instantiated from the first non-empty example rows and then
 // verified against all rows, as in FlashFill-style synthesis [45, 62, 81].
 // Candidates are matched against the rows without building their
-// outputs, and only the winner's violating rows are listed.
-func Learn(xs, ys []string, minConforming float64) (Fit, bool) {
+// outputs, and only the winner's violating rows are listed. A candidate
+// that the lhs summary or the derivation rows already show to exceed
+// the violations the bar allows is not tried: its score could only
+// fail.
+func Learn(lhs *Lhs, ys []string, minConforming float64) (Fit, bool) {
+	xs := lhs.xs
 	if len(xs) != len(ys) || len(xs) == 0 {
 		return Fit{}, false
 	}
-	var buf [maxCandidates]candidate
-	cands := candidates(buf[:0], xs, ys)
 	// A program must reach minConforming; once it has accumulated more
 	// violations than that allows, scoring can stop early.
 	maxViolations := int(float64(len(xs))*(1-minConforming)) + 1
+	var buf [maxCandidates]candidate
+	cands := candidates(buf[:0], lhs, ys, maxViolations)
 	best, bestConforming := -1, -1.0
 	for i := range cands {
 		if conforming, ok := cands[i].score(xs, ys, maxViolations); ok && conforming > bestConforming {
@@ -171,12 +208,17 @@ var splitCandidates = func() []candidate {
 // candidates appends the candidate programs for a pair to out:
 // identity and the case transforms, up to maxConcats concatenations
 // derived from rows where x is a non-empty substring of y, then the
-// split programs.
+// split programs. It leaves out candidates that must violate more than
+// maxViolations scored rows:
+//   - a split program more non-empty x values have too few fields for;
+//   - every concatenation derived after more rows than that, with both
+//     sides non-empty, have no x in y: no concatenation maps those.
 //
 // alloc-budget: 3 appends stay within Learn's fixed-size candidate array
-func candidates(out []candidate, xs, ys []string) []candidate {
+func candidates(out []candidate, lhs *Lhs, ys []string, maxViolations int) []candidate {
 	out = append(out, candidate{kind: identity}, candidate{kind: upper}, candidate{kind: lower})
-	derived := 0
+	xs := lhs.xs
+	derived, refuted := 0, 0
 	for i := 0; i < len(xs) && derived < maxConcats; i++ {
 		x, y := xs[i], ys[i]
 		if x == "" || y == "" {
@@ -184,6 +226,9 @@ func candidates(out []candidate, xs, ys []string) []candidate {
 		}
 		idx := strings.Index(y, x)
 		if idx < 0 {
+			if refuted++; refuted > maxViolations {
+				break
+			}
 			continue
 		}
 		c := candidate{kind: concat, a: y[:idx], b: y[idx+len(x):]}
@@ -196,7 +241,12 @@ func candidates(out []candidate, xs, ys []string) []candidate {
 			derived++
 		}
 	}
-	return append(out, splitCandidates...)
+	for i := range splitCandidates {
+		if int(lhs.short[i]) <= maxViolations {
+			out = append(out, splitCandidates[i])
+		}
+	}
+	return out
 }
 
 // sameConcatKey reports whether two concatenations share the dedupe key

@@ -15,7 +15,7 @@ func TestLearnConcat(t *testing.T) {
 		"Malaysia Federal Route 739",
 		"Malaysia Federal Route 740",
 	}
-	fit, ok := Learn(xs, ys, 0.6)
+	fit, ok := learn(xs, ys, 0.6)
 	if !ok {
 		t.Fatal("Learn failed")
 	}
@@ -38,7 +38,7 @@ func TestLearnConcatDetectsViolation(t *testing.T) {
 		"Malaysia Federal Route 739",
 		"Malaysia Federal Route 740",
 	}
-	fit, ok := Learn(xs, ys, 0.6)
+	fit, ok := learn(xs, ys, 0.6)
 	if !ok {
 		t.Fatal("Learn failed")
 	}
@@ -54,7 +54,7 @@ func TestLearnSplit(t *testing.T) {
 	// Appendix D: "Doe, John" -> "Doe".
 	xs := []string{"Doe, John", "Smith, Jane", "Keane, Andrew"}
 	ys := []string{"Doe", "Smith", "Keane"}
-	fit, ok := Learn(xs, ys, 0.9)
+	fit, ok := learn(xs, ys, 0.9)
 	if !ok {
 		t.Fatal("Learn failed")
 	}
@@ -70,7 +70,7 @@ func TestLearnSplit(t *testing.T) {
 func TestLearnSplitSecondField(t *testing.T) {
 	xs := []string{"Doe, John", "Smith, Jane"}
 	ys := []string{"John", "Jane"}
-	fit, ok := Learn(xs, ys, 0.9)
+	fit, ok := learn(xs, ys, 0.9)
 	if !ok {
 		t.Fatal("Learn failed")
 	}
@@ -81,14 +81,14 @@ func TestLearnSplitSecondField(t *testing.T) {
 }
 
 func TestLearnIdentityAndCase(t *testing.T) {
-	fit, ok := Learn([]string{"a", "b"}, []string{"a", "b"}, 1)
+	fit, ok := learn([]string{"a", "b"}, []string{"a", "b"}, 1)
 	if !ok {
 		t.Fatal("identity not learned")
 	}
 	if _, isID := fit.Program.(Identity); !isID {
 		t.Errorf("program = %v", fit.Program)
 	}
-	fit, ok = Learn([]string{"ab", "cd"}, []string{"AB", "CD"}, 1)
+	fit, ok = learn([]string{"ab", "cd"}, []string{"AB", "CD"}, 1)
 	if !ok {
 		t.Fatal("upper not learned")
 	}
@@ -100,16 +100,16 @@ func TestLearnIdentityAndCase(t *testing.T) {
 func TestLearnRejectsUnrelated(t *testing.T) {
 	xs := []string{"alpha", "beta", "gamma", "delta"}
 	ys := []string{"1", "7", "42", "9000"}
-	if fit, ok := Learn(xs, ys, 0.6); ok {
+	if fit, ok := learn(xs, ys, 0.6); ok {
 		t.Errorf("unrelated columns learned program %v (%.2f conforming)", fit.Program, fit.Conforming)
 	}
 }
 
 func TestLearnDegenerate(t *testing.T) {
-	if _, ok := Learn(nil, nil, 0.5); ok {
+	if _, ok := learn(nil, nil, 0.5); ok {
 		t.Error("empty input should fail")
 	}
-	if _, ok := Learn([]string{"a"}, []string{"a", "b"}, 0.5); ok {
+	if _, ok := learn([]string{"a"}, []string{"a", "b"}, 0.5); ok {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -142,11 +142,17 @@ func TestProgramStrings(t *testing.T) {
 func TestLearnSkipsEmptyRows(t *testing.T) {
 	xs := []string{"736", "", "738"}
 	ys := []string{"Route 736", "", "Route 738"}
-	fit, ok := Learn(xs, ys, 0.9)
+	fit, ok := learn(xs, ys, 0.9)
 	if !ok {
 		t.Fatal("Learn failed")
 	}
 	if fit.Conforming != 1 {
 		t.Errorf("Conforming = %v (empty rows must not count as violations)", fit.Conforming)
 	}
+}
+
+// learn prepares xs and runs Learn, for pairs tried once.
+func learn(xs, ys []string, minConforming float64) (Fit, bool) {
+	lhs := NewLhs(xs)
+	return Learn(&lhs, ys, minConforming)
 }

@@ -57,9 +57,10 @@ func (t ValueType) String() string {
 // Column is a named, typed column of string cell values.
 //
 // A Column may be read from many goroutines at once (the predictor runs
-// detectors concurrently over shared tables), so the type cache below is
+// detectors concurrently over shared tables), so the caches below are
 // atomic. Mutating Values concurrently with readers is still the caller's
-// responsibility.
+// responsibility, and a caller that mutates Values must call Invalidate,
+// which drops the cached type, profile and fingerprint.
 type Column struct {
 	Name   string
 	Values []string
@@ -69,6 +70,13 @@ type Column struct {
 	// because concurrent detector goroutines race to fill the cache;
 	// InferType is deterministic, so a duplicated computation is harmless.
 	typ atomic.Uint32
+	// profile caches Profile's dedup the same way: two workers racing to
+	// build it build equal profiles, and one of them is kept.
+	profile atomic.Pointer[Profile]
+	// fp1, fp2 hold a content fingerprint once fpSet is true; see
+	// Fingerprint.
+	fp1, fp2 atomic.Uint64
+	fpSet    atomic.Bool
 }
 
 // NewColumn builds a column from a name and values.
@@ -94,8 +102,53 @@ func (c *Column) Type() ValueType {
 	return t
 }
 
-// Invalidate drops cached derived state after the Values slice is mutated.
-func (c *Column) Invalidate() { c.typ.Store(0) }
+// Profile returns the column's dedup, building and caching it on first
+// use. It is safe for concurrent use. A profile is as large as the
+// column's codes and distinct values, so whoever keeps a column past
+// the work that profiled it calls Release.
+func (c *Column) Profile() *Profile {
+	if p := c.profile.Load(); p != nil {
+		return p
+	}
+	p := NewProfile(c.Values)
+	c.profile.Store(p)
+	return p
+}
+
+// Fingerprint returns the content fingerprint memoized by
+// SetFingerprint, if one is held. The column does not compute it: the
+// measurement cache does, and memoizes it here for the rest of one
+// detect call, without allocating.
+func (c *Column) Fingerprint() (h1, h2 uint64, ok bool) {
+	if !c.fpSet.Load() {
+		return 0, 0, false
+	}
+	return c.fp1.Load(), c.fp2.Load(), true
+}
+
+// SetFingerprint memoizes the column's content fingerprint. Concurrent
+// callers store the same fingerprint of the same content, so a reader
+// seeing the flag set reads a whole one.
+func (c *Column) SetFingerprint(h1, h2 uint64) {
+	c.fp1.Store(h1)
+	c.fp2.Store(h2)
+	c.fpSet.Store(true)
+}
+
+// Release drops the column's profile and fingerprint memo, keeping the
+// cached type; the next Profile or fingerprint builds afresh. It is safe
+// for concurrent use: a reader racing it at worst builds them again.
+func (c *Column) Release() {
+	c.profile.Store(nil)
+	c.fpSet.Store(false)
+}
+
+// Invalidate drops cached derived state after the Values slice is
+// mutated: the type, the profile and the fingerprint memo.
+func (c *Column) Invalidate() {
+	c.typ.Store(0)
+	c.Release()
+}
 
 // Drop returns a copy of the column with the cells at the given row indices
 // removed. Indices outside the column are ignored. The receiver is not
@@ -156,6 +209,14 @@ func (t *Table) NumRows() int {
 
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return len(t.Columns) }
+
+// Release drops every column's profile and fingerprint memo (see
+// Column.Release).
+func (t *Table) Release() {
+	for _, c := range t.Columns {
+		c.Release()
+	}
+}
 
 // Row materializes row i as a slice of cell values, one per column.
 func (t *Table) Row(i int) []string {
