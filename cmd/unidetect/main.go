@@ -61,7 +61,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   unidetect train   -out model.bin [-tables N] [-profile web|wiki|enterprise] [-csv dir] [-dict]
-  unidetect detect  -model model.bin [-alpha A] [-fdr Q] [-dict] [-repair] [-rules] [-json] [-chunk N] file.csv|file.ndjson|file.ucol|file.xlsx...
+  unidetect detect  -model model.bin [-alpha A] [-dict] [-repair] [-rules] [-json] [-chunk N] file.csv|file.ndjson|file.ucol|file.xlsx...
   unidetect scan    [-tables N] [-dict] [-repair] [-rules] [-chunk N] file.csv|file.ndjson|file.ucol|file.xlsx...
   unidetect convert -out file.ucol [-chunk N] file.csv|file.ndjson
   unidetect info    -model model.bin
@@ -188,7 +188,6 @@ func runDetect(args []string) error {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
 	modelPath := fs.String("model", "model.bin", "trained model path")
 	alpha := fs.Float64("alpha", 0, "significance level override (0 keeps the model's)")
-	fdr := fs.Float64("fdr", 0, "Benjamini–Hochberg false-discovery-rate level (0 disables)")
 	dict := fs.Bool("dict", false, "enable the dictionary spelling refinement")
 	repairs := fs.Bool("repair", false, "print repair suggestions under each finding")
 	rules := fs.Bool("rules", false, "also run the curated Excel-style rules")
@@ -202,7 +201,7 @@ func runDetect(args []string) error {
 		return err
 	}
 	defer f.Close()
-	m, err := unidetect.Load(f, &unidetect.Options{Alpha: *alpha, FDR: *fdr, UseDictionary: *dict})
+	m, err := unidetect.Load(f, &unidetect.Options{Alpha: *alpha, UseDictionary: *dict})
 	if err != nil {
 		return err
 	}

@@ -21,8 +21,8 @@
 // API key (Authorization: Bearer or X-API-Key) registered in the tenant
 // file, and per-tenant token-bucket quotas answer 429 + Retry-After.
 // With -jobs-dir huge uploads go through the crash-safe async job tier:
-// POST /v1/jobs returns immediately and a killed daemon resumes the
-// scan from its last per-chunk checkpoint after restart.
+// POST /v1/jobs returns immediately and a killed daemon runs each
+// unfinished job again from the top of its spool after restart.
 //
 // With -debug-addr a second listener additionally serves /metrics and the
 // net/http/pprof endpoints (DESIGN.md §9), so profiling can stay bound to

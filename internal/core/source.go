@@ -14,9 +14,10 @@ import (
 // This file implements the streaming scan: DetectSource scores a
 // chunked columnar source (internal/colstore) without ever holding the
 // source's chunks in memory. It is a loop over SourceScan (scan.go),
-// which the async job store drives too: each chunk folds into a
-// dictionary-encoded sketch — repeated cell strings are stored once, so
-// the resident footprint is one chunk plus the distinct-value
+// which the async job store drives too, from the top of its spool on
+// every run, since nothing of a scan is persisted. Each chunk folds into
+// a dictionary-encoded sketch — repeated cell strings are stored once,
+// so the resident footprint is one chunk plus the distinct-value
 // dictionaries and one id per cell — and at end of stream the sketch
 // decodes to a table that every detector scores once, as DetectAll
 // scores an in-memory table, with row indices rebased to source

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"hash/fnv"
 	"testing"
 
 	"github.com/unidetect/unidetect/internal/colstore"
@@ -92,74 +88,6 @@ func TestSketchFoldAndRemap(t *testing.T) {
 	// A shifted map copies rather than rebasing the input in place.
 	if out := (rowMap{{start: 0, base: 8}}).apply(rows); out[0] != 8 || out[1] != 10 || rows[0] != 0 {
 		t.Fatalf("map at base 8 gave %v (input now %v), want [8 10] and the input untouched", out, rows)
-	}
-}
-
-// legacyScanWire is the scan state Save wrote while Fold still scored
-// each chunk: the sketch plus the dedup state of per-chunk findings.
-type legacyScanWire struct {
-	Name     string
-	Pos      int
-	Degraded int
-	Cols     []string
-	Vals     [][]string
-	IDs      [][]uint32
-	Segs     []scanWireSeg
-	Rows     int
-	Order    []string
-	Best     map[string]Finding
-}
-
-// TestLoadSourceScanLegacyState loads a checkpoint in the older layout,
-// which carries per-chunk findings next to the sketch: the findings are
-// ignored and the scan resumes from its sketch, identical to the scan
-// that wrote it.
-func TestLoadSourceScanLegacyState(t *testing.T) {
-	p := &Predictor{}
-	scan := p.NewSourceScan("t")
-	scan.Fold(colstore.NewChunk(0, 0, []colstore.ColumnView{
-		colstore.NewColumnView("a", []string{"x", "y", "x"}),
-	}))
-	scan.SkipDegraded(colstore.NewChunk(1, 3, nil))
-	scan.Fold(colstore.NewChunk(2, 5, []colstore.ColumnView{
-		colstore.NewColumnView("a", []string{"z"}),
-	}))
-	var want bytes.Buffer
-	if err := scan.Save(&want); err != nil {
-		t.Fatal(err)
-	}
-
-	wire := legacyScanWire{
-		Name: scan.name, Pos: scan.pos, Degraded: scan.degraded,
-		Cols: scan.sk.names, Vals: scan.sk.vals, IDs: scan.sk.ids, Rows: scan.sk.rows,
-		Order: []string{"k"},
-		Best:  map[string]Finding{"k": {Class: ClassSpelling, Table: "t", Rows: []int{0, 5}, LR: 0.01}},
-	}
-	for _, seg := range scan.sk.segs {
-		wire.Segs = append(wire.Segs, scanWireSeg{Start: seg.start, Base: seg.base})
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	legacy.Write(scanMagic)
-	_ = binary.Write(&legacy, binary.BigEndian, uint32(payload.Len()))
-	legacy.Write(payload.Bytes())
-	h := fnv.New64a()
-	_, _ = h.Write(payload.Bytes())
-	legacy.Write(h.Sum(nil))
-
-	loaded, err := p.LoadSourceScan(&legacy)
-	if err != nil {
-		t.Fatalf("legacy scan state failed to load: %v", err)
-	}
-	var got bytes.Buffer
-	if err := loaded.Save(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("scan resumed from legacy state differs from the scan that wrote it")
 	}
 }
 

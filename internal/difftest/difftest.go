@@ -9,20 +9,16 @@
 // match, with float fields compared via math.Float64bits so that even a
 // last-ulp drift in LR or θ computation fails the harness. A run trains
 // a fresh model on a seeded synthetic corpus, scores an error-injected
-// eval set through both predictors' entry points — DetectAll,
-// DetectSource, and a SourceScan driven chunk by chunk with a checkpoint
-// round trip after every chunk, as the async job store drives it — and
-// diffs the outputs, streams also against the in-memory DetectAll at
-// every chunk size. With a chaos schedule configured, every side carries
-// a same-seed fault injector so the degraded table or chunk set must
-// agree too.
+// eval set through both predictors' entry points — DetectAll and
+// DetectSource — and diffs the outputs, streams also against the
+// in-memory DetectAll at every chunk size. With a chaos schedule
+// configured, both sides carry a same-seed fault injector so the
+// degraded table or chunk set must agree too.
 package difftest
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -52,10 +48,9 @@ type Config struct {
 	// Extra tables are appended to the eval set — the hook for
 	// hand-built edge cases (empty columns, NaN numerics, ...).
 	Extra []*table.Table
-	// Chaos, when non-empty, arms both predictors (and RunSource's job
-	// leg) with fault injectors built from the same ChaosSeed, asserting
-	// the fast path degrades exactly the tables or chunks the reference
-	// degrades.
+	// Chaos, when non-empty, arms both predictors with fault injectors
+	// built from the same ChaosSeed, asserting the fast path degrades
+	// exactly the tables or chunks the reference degrades.
 	Chaos     []faultinject.Rule
 	ChaosSeed int64
 	// CacheSize is passed to the fast predictor (0 = default budget,
@@ -168,23 +163,17 @@ var ChunkSizes = []int{1, 7, 64, colstore.WholeTable}
 
 // RunSource proves the chunked streaming scan: every eval table is
 // streamed at each ChunkSizes entry through core.Predictor.DetectSource
-// on the reference and the fast path, and through the job leg — a fast
-// SourceScan driven chunk by chunk with a Save → LoadSourceScan round
-// trip after every chunk, as the async job store drives it. All three
-// must agree byte-for-byte at every size. Without chaos, they must also
-// equal the in-memory DetectAll of the same table, on the reference and
-// the fast path, at every size: a stream's findings do not depend on
-// how it is chunked. With a chaos schedule, same-seed injectors gate
-// every chunk on all three, which must degrade the same chunks (per-size
-// outputs then legitimately differ; path equivalence must not).
+// on the reference and the fast path, which must agree byte-for-byte at
+// every size. Without chaos, they must also equal the in-memory
+// DetectAll of the same table, on the reference and the fast path, at
+// every size: a stream's findings do not depend on how it is chunked.
+// With a chaos schedule, same-seed injectors gate every chunk on both,
+// which must degrade the same chunks (per-size outputs then
+// legitimately differ; path equivalence must not).
 func RunSource(t testing.TB, cfg Config) Result {
 	t.Helper()
 	ctx := context.Background()
 	ref, fast, eval := setup(t, &cfg)
-	var jobInject *faultinject.Injector
-	if len(cfg.Chaos) > 0 {
-		jobInject = faultinject.New(cfg.ChaosSeed, cfg.Chaos...)
-	}
 
 	res := Result{Classes: map[core.Class]int{}}
 	for _, tab := range eval {
@@ -206,11 +195,6 @@ func RunSource(t testing.TB, cfg Config) Result {
 				t.Fatalf("difftest: %s: fast: %v", what, err)
 			}
 			diffFindings(t, what, want, got)
-			job, err := runJob(ctx, fast, jobInject, colstore.NewSliceSource(tab, opts))
-			if err != nil {
-				t.Fatalf("difftest: %s: job leg: %v", what, err)
-			}
-			diffFindings(t, what+" vs job leg", want, job)
 			if len(cfg.Chaos) == 0 {
 				diffFindings(t, what+" vs in-memory DetectAll", inMemory, want)
 			}
@@ -236,48 +220,6 @@ func RunSource(t testing.TB, cfg Config) Result {
 		}
 	}
 	return res
-}
-
-// runJob drives a SourceScan over src the way the async job store does:
-// gate each chunk (here through inject at DetectSource's own chaos site,
-// so a same-seed injector degrades the chunks DetectSource degrades),
-// Fold or SkipDegraded it, then checkpoint — Save, LoadSourceScan, and
-// continue on the reloaded state.
-func runJob(ctx context.Context, p *core.Predictor, inject *faultinject.Injector, src colstore.Source) ([]core.Finding, error) {
-	admit := func() (ok bool) {
-		if inject == nil {
-			return true
-		}
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		return inject.Hit(ctx, "core/scan/table="+src.Name()) == nil
-	}
-	scan := p.NewSourceScan(src.Name())
-	for {
-		c, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if admit() {
-			scan.Fold(c)
-		} else {
-			scan.SkipDegraded(c)
-		}
-		var state bytes.Buffer
-		if err := scan.Save(&state); err != nil {
-			return nil, err
-		}
-		if scan, err = p.LoadSourceScan(&state); err != nil {
-			return nil, err
-		}
-	}
-	return scan.Finish(src.ColumnNames())
 }
 
 // diffFindings fails t with a field-precise message on the first

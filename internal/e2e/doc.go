@@ -4,7 +4,7 @@
 // multi-tenant load — sync detects, async jobs, a mid-run /v1/reload
 // and kill-one-daemon chaos — asserting zero cross-tenant leakage,
 // exact quota accounting against the /metrics exposition, and that a
-// killed-and-restarted daemon resumes async jobs to byte-identical
+// killed-and-restarted daemon reruns async jobs to byte-identical
 // findings. Everything lives in the test files; the package itself
 // exports nothing.
 package e2e

@@ -4,7 +4,7 @@ package e2e
 // acceptance run: three daemons behind the rendezvous router, seeded
 // mixed load (sync detects + async jobs) from three tenants with
 // different quota shapes, a hot /v1/reload mid-run, and a SIGKILL of
-// one daemon followed by a restart that must resume its jobs. The
+// one daemon followed by a restart that must rerun its jobs. The
 // run asserts zero cross-tenant leakage and that client-side tallies
 // match the /metrics exposition exactly. TestJobResumeByteIdentical
 // is the crash-consistency drill, one sub-test per chaos seed: a
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -239,7 +238,7 @@ func TestServingFleet(t *testing.T) {
 	}
 
 	// Restart the killed daemon with the same jobs dir: its accepted
-	// jobs must resume and complete. Its in-memory counters restart
+	// jobs must run again and complete. Its in-memory counters restart
 	// from zero, so its ledger resets with it.
 	killed.spawn(t)
 	f.tallies[killed.name] = newTally()
@@ -366,7 +365,7 @@ func parseNDJSON(t *testing.T, body []byte) []map[string]any {
 	return out
 }
 
-// TestJobResumeByteIdentical is the resume contract, one sub-test per
+// TestJobResumeByteIdentical is the restart contract, one sub-test per
 // chaos seed: SIGKILL a daemon mid-scan, restart it, and the streamed
 // findings must be byte-for-byte what an uninterrupted run produces.
 func TestJobResumeByteIdentical(t *testing.T) {
@@ -385,21 +384,17 @@ func TestJobResumeByteIdentical(t *testing.T) {
 				t.Fatal("control run streamed no findings; test has no power")
 			}
 
-			// Chaos: same upload, killed at the first durable checkpoint,
-			// restarted, run to completion.
+			// Chaos: same upload, killed after its first folded chunk,
+			// restarted, run again from the top of its spool.
 			chaos := startDaemon(t, fmt.Sprintf("chaos-%d", seed), flags...)
 			id := submitJob(t, chaos, csv)
 			if id != ctlID {
 				t.Fatalf("fresh stores disagree on ids: %s vs %s", id, ctlID)
 			}
-			statePath := filepath.Join(chaos.jobsDir, id, "scan.state")
 			deadline := time.Now().Add(30 * time.Second)
-			for {
-				if _, err := os.Stat(statePath); err == nil {
-					break
-				}
+			for chaos.Metric("unidetect_jobs_chunks_total", nil) < 1 {
 				if time.Now().After(deadline) {
-					t.Fatalf("no checkpoint appeared at %s", statePath)
+					t.Fatal("the job folded no chunk in 30s")
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
@@ -436,7 +431,7 @@ func submitJob(t *testing.T, d *daemon, csv string) string {
 
 // waitJobBytes polls until the job is terminal and returns the full
 // final reply — findings stream plus terminal summary line — whose
-// bytes the resume contract is stated over.
+// bytes the restart contract is stated over.
 func waitJobBytes(t *testing.T, d *daemon, id string) []byte {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)

@@ -168,9 +168,9 @@ func (d *daemon) spawn(t *testing.T) {
 	d.Daemon = testkit.AttachDaemon(t, "http://"+addr, 30*time.Second)
 }
 
-// kill SIGKILLs the daemon — no drain, no checkpoint flush beyond
-// what is already durable. This is the crash the resume contract is
-// written against.
+// kill SIGKILLs the daemon — no drain, nothing flushed beyond what is
+// already durable. This is the crash the restart contract is written
+// against.
 func (d *daemon) kill(t *testing.T) {
 	t.Helper()
 	d.alive = false

@@ -1,19 +1,18 @@
 // Package jobstore is the daemon's crash-safe async job queue: a large
 // upload is spooled to disk, a job id returns immediately, and a
-// bounded worker pool scans the spool chunk-at-a-time with the
-// resumable SourceScan, checkpointing the whole scan state after every
-// chunk. A killed daemon reopens the store, re-enqueues the jobs it
-// finds mid-flight, verifies the saved position against the chunk
-// fingerprints of the reopened spool (the PR-9 .ucol fingerprints,
-// recomputed for CSV/NDJSON spools), and continues — the finished
-// findings are byte-identical to an uninterrupted run, the serving-tier
-// analogue of checkpointed training's kill→resume contract.
+// bounded worker pool scans the spool chunk-at-a-time with SourceScan.
+// A job keeps no scan state on disk. A killed or closed daemon reopens
+// the store, re-enqueues the jobs it finds mid-flight, and runs each
+// again from the top of its spool, which is never rewritten after
+// Submit; the finished findings are byte-identical to an uninterrupted
+// run. A restart costs one parse and fold of the chunks consumed before
+// the interruption — what resuming from a saved position would cost
+// too, since the sketch after k chunks follows from the first k.
 package jobstore
 
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -30,12 +29,8 @@ import (
 	"github.com/unidetect/unidetect/internal/obs"
 )
 
-// stateMagic heads a scan checkpoint file: a rolling fingerprint of the
-// chunks consumed so far, then the serialized SourceScan frame.
-var stateMagic = []byte("UNIDETECT-JOBS\x01")
-
 // State is a job's lifecycle position. queued and running survive a
-// crash (the job resumes); done, failed and degraded are terminal.
+// crash (the job runs again); done, failed and degraded are terminal.
 type State string
 
 const (
@@ -52,8 +47,8 @@ func (s State) Terminal() bool {
 }
 
 // Record is one job's durable metadata, persisted as JSON next to the
-// spooled input. Progress truth lives in the scan checkpoint; the
-// record carries identity and the terminal outcome.
+// spooled input. It carries identity and the terminal outcome; a job's
+// progress is not persisted, since an interrupted job rescans its spool.
 type Record struct {
 	ID       string `json:"id"`
 	Tenant   string `json:"tenant"`
@@ -73,8 +68,8 @@ type Config struct {
 	Dir string
 	// Workers bounds the scan worker pool; <= 0 means 2.
 	Workers int
-	// ChunkRows is the scan chunk geometry (0 = colstore default). It
-	// must stay stable across restarts for checkpoints to resume.
+	// ChunkRows is the scan chunk geometry (0 = colstore default): it
+	// sets how often a closing store can park a job, not what it finds.
 	ChunkRows int
 	// ChunkDelay is slept between chunks; the e2e harness uses it to
 	// widen the kill window. 0 = no throttle.
@@ -106,14 +101,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		submitted: reg.Counter("unidetect_jobs_submitted_total", "async jobs accepted"),
 		finished:  reg.CounterVec("unidetect_jobs_finished_total", "async jobs reaching a terminal state", "state"),
 		chunks:    reg.Counter("unidetect_jobs_chunks_total", "chunks folded by job workers"),
-		resumes:   reg.Counter("unidetect_jobs_resumes_total", "jobs resumed from an on-disk checkpoint"),
+		resumes:   reg.Counter("unidetect_jobs_resumes_total", "non-terminal jobs re-queued at Open; each rescans its spool"),
 		running:   reg.Gauge("unidetect_jobs_running", "jobs currently being scanned"),
 	}
-}
-
-// job is a Record plus its queue bookkeeping.
-type job struct {
-	rec Record
 }
 
 // Store is the live job queue. Safe for concurrent use.
@@ -198,8 +188,8 @@ func (s *Store) recover() error {
 }
 
 // Close stops accepting work and joins the workers. A job mid-scan
-// finishes its current chunk, checkpoints, and is left running on disk
-// for the next Open to resume.
+// finishes its current chunk and is left running on disk, for the next
+// Open to run again from the top of its spool.
 func (s *Store) Close() {
 	s.mu.Lock()
 	s.open = false
@@ -219,7 +209,6 @@ func (s *Store) recordPath(id string) string { return filepath.Join(s.cfg.Dir, i
 func (s *Store) inputPath(id, format string) string {
 	return filepath.Join(s.cfg.Dir, id, "input."+format)
 }
-func (s *Store) statePath(id string) string { return filepath.Join(s.cfg.Dir, id, "scan.state") }
 func (s *Store) findingsPath(id string) string {
 	return filepath.Join(s.cfg.Dir, id, "findings.ndjson")
 }
@@ -364,7 +353,8 @@ func (s *Store) fail(rec Record, err error) {
 	s.logf("jobstore: %s failed: %v", rec.ID, err)
 }
 
-// runJob scans one job to a terminal state, checkpointing every chunk.
+// runJob scans one job from the top of its spool to a terminal state,
+// or until Close parks it.
 func (s *Store) runJob(rec Record) {
 	if err := s.inject("jobstore/start"); err != nil {
 		s.fail(rec, err)
@@ -393,12 +383,7 @@ func (s *Store) runJob(rec Record) {
 	}
 	defer src.Close()
 
-	scan, roll, err := s.resumeOrStart(model, rec, &src)
-	if err != nil {
-		s.fail(rec, err)
-		return
-	}
-
+	scan := model.NewSourceScan(rec.Name)
 	rel, _ := src.(colstore.Releaser)
 	for {
 		c, err := src.Next()
@@ -409,7 +394,6 @@ func (s *Store) runJob(rec Record) {
 			s.fail(rec, fmt.Errorf("read chunk %d: %w", scan.Pos(), err))
 			return
 		}
-		roll = rollChunk(roll, c)
 		if ierr := s.inject("jobstore/chunk"); ierr != nil {
 			// An injected chunk fault degrades that chunk, mirroring the
 			// sync scan path: its rows vanish, the stream continues.
@@ -421,16 +405,12 @@ func (s *Store) runJob(rec Record) {
 		if rel != nil {
 			rel.Release(c)
 		}
-		if err := s.checkpoint(rec.ID, scan, roll); err != nil {
-			s.fail(rec, err)
-			return
-		}
 		if s.cfg.ChunkDelay > 0 {
 			time.Sleep(s.cfg.ChunkDelay)
 		}
 		if s.closing() {
-			// Leave the job running on disk; the next Open resumes it
-			// from this checkpoint.
+			// Leave the job running on disk; the next Open runs it
+			// again from the top of its spool.
 			s.logf("jobstore: %s parked at chunk %d for shutdown", rec.ID, scan.Pos())
 			return
 		}
@@ -459,7 +439,6 @@ func (s *Store) runJob(rec Record) {
 	}
 	s.m.finished.With(string(rec.State)).Inc()
 	s.setState(rec)
-	_ = os.Remove(s.statePath(rec.ID)) // checkpoint is spent
 	s.logf("jobstore: %s %s (%d chunks, %d findings)", rec.ID, rec.State, rec.Chunks, rec.Findings)
 }
 
@@ -481,108 +460,6 @@ func (s *Store) openInput(rec Record) (colstore.Source, error) {
 		return colstore.OpenUcolFile(path)
 	}
 	return nil, fmt.Errorf("jobstore: unsupported format %q", rec.Format)
-}
-
-// rollChunk folds one chunk's column fingerprints into the rolling
-// progress fingerprint — the same per-chunk fingerprints the .ucol
-// format stamps into its frames.
-func rollChunk(roll [2]uint64, c *colstore.Chunk) [2]uint64 {
-	for j := 0; j < c.NumCols(); j++ {
-		h1, h2 := c.Col(j).Fingerprint()
-		roll[0] = roll[0]*0x100000001b3 ^ h1
-		roll[1] = roll[1]*0x100000001b3 ^ h2
-	}
-	return roll
-}
-
-// resumeOrStart loads the job's checkpoint if one exists and still
-// matches the spool. On any mismatch — torn state, changed input, a
-// spool shorter than the saved position — the scan restarts from zero;
-// a checkpoint that cannot be trusted must never resume into garbage.
-// The source is reopened (via the pointer) when a bad resume consumed
-// positions from it.
-func (s *Store) resumeOrStart(model *unidetect.Model, rec Record, src *colstore.Source) (*unidetect.SourceScan, [2]uint64, error) {
-	fresh := func() (*unidetect.SourceScan, [2]uint64, error) {
-		return model.NewSourceScan(rec.Name), [2]uint64{}, nil
-	}
-	data, err := os.ReadFile(s.statePath(rec.ID))
-	if err != nil {
-		return fresh()
-	}
-	scan, want, ok := decodeState(model, data)
-	if !ok {
-		s.logf("jobstore: %s checkpoint unreadable; restarting scan", rec.ID)
-		return fresh()
-	}
-	// Replay the consumed prefix of the spool, recomputing the rolling
-	// fingerprint; only an exact match resumes.
-	var roll [2]uint64
-	for i := 0; i < scan.Pos(); i++ {
-		c, err := (*src).Next()
-		if err != nil {
-			s.logf("jobstore: %s spool shorter than checkpoint; restarting scan", rec.ID)
-			return s.restart(rec, src)
-		}
-		roll = rollChunk(roll, c)
-	}
-	if roll != want {
-		s.logf("jobstore: %s spool fingerprint mismatch; restarting scan", rec.ID)
-		return s.restart(rec, src)
-	}
-	s.logf("jobstore: %s resuming at chunk %d", rec.ID, scan.Pos())
-	return scan, roll, nil
-}
-
-// restart reopens the spool from the top for a from-zero scan after a
-// failed resume.
-func (s *Store) restart(rec Record, src *colstore.Source) (*unidetect.SourceScan, [2]uint64, error) {
-	_ = (*src).Close()
-	reopened, err := s.openInput(rec)
-	if err != nil {
-		return nil, [2]uint64{}, err
-	}
-	*src = reopened
-	model := s.cfg.Model()
-	return model.NewSourceScan(rec.Name), [2]uint64{}, nil
-}
-
-// checkpoint atomically persists the scan state plus the rolling
-// fingerprint of everything consumed so far.
-func (s *Store) checkpoint(id string, scan *unidetect.SourceScan, roll [2]uint64) error {
-	var buf bytes.Buffer
-	buf.Write(stateMagic)
-	var fp [16]byte
-	binary.BigEndian.PutUint64(fp[:8], roll[0])
-	binary.BigEndian.PutUint64(fp[8:], roll[1])
-	buf.Write(fp[:])
-	if err := scan.Save(&buf); err != nil {
-		return fmt.Errorf("jobstore: encode checkpoint: %w", err)
-	}
-	path := s.statePath(id)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("jobstore: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("jobstore: commit checkpoint: %w", err)
-	}
-	return nil
-}
-
-// decodeState parses a checkpoint file; ok=false means restart.
-func decodeState(model *unidetect.Model, data []byte) (*unidetect.SourceScan, [2]uint64, bool) {
-	if len(data) < len(stateMagic)+16 || !bytes.Equal(data[:len(stateMagic)], stateMagic) {
-		return nil, [2]uint64{}, false
-	}
-	rest := data[len(stateMagic):]
-	var roll [2]uint64
-	roll[0] = binary.BigEndian.Uint64(rest[:8])
-	roll[1] = binary.BigEndian.Uint64(rest[8:16])
-	scan, err := model.LoadSourceScan(bytes.NewReader(rest[16:]))
-	if err != nil {
-		return nil, [2]uint64{}, false
-	}
-	return scan, roll, true
 }
 
 // writeRecord persists a record via write-temp-then-rename.
@@ -630,7 +507,7 @@ type findingWire struct {
 
 // writeFindings persists the finished findings as NDJSON, one finding
 // per line, via write-temp-then-rename. The byte stream is a pure
-// function of the findings, which is what makes resume byte-identity
+// function of the findings, which is what makes restart byte-identity
 // checkable end to end.
 func writeFindings(path string, findings []unidetect.Finding) error {
 	var buf bytes.Buffer

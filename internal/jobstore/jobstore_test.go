@@ -180,150 +180,208 @@ func TestJobMatchesDetectSource(t *testing.T) {
 	}
 }
 
-// TestParkResumeByteIdentical is the store-level resume contract: a
-// store closed mid-job parks it at the last checkpointed chunk, a fresh
-// Open resumes it, and the finished findings file is byte-identical to
-// an uninterrupted run's.
-func TestParkResumeByteIdentical(t *testing.T) {
-	// Whole-table detection finds none of the errors datagen injects into
-	// this 444-row table, so plant one it does find: a Year scaled ×1000.
+// plantedCSV is errorTable(2000, 13) as CSV with one error planted that
+// whole-table detection finds: datagen's own injections in this table
+// go unflagged, so a Year scaled ×1000 gives the park tests findings to
+// compare.
+func plantedCSV(t *testing.T) []byte {
+	t.Helper()
 	tab := errorTable(2000, 13)
 	tab.Column("Year").Values[200] += "000"
-	body := tableCSV(t, tab)
-
-	// Control: uninterrupted run.
-	ctrlDir := t.TempDir()
-	ctrl := openStore(t, ctrlDir, nil)
-	crec, err := ctrl.Submit("acme", "upload", "csv", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitTerminal(t, ctrl, "acme", crec.ID); got.State != StateDone {
-		t.Fatalf("control job finished %s", got.State)
-	}
-	want, err := os.ReadFile(ctrl.findingsPath(crec.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted run: throttled chunks so Close lands mid-scan.
-	dir := t.TempDir()
-	cfg := Config{
-		Dir: dir, Workers: 1, ChunkRows: 32, ChunkDelay: 3 * time.Millisecond,
-		Model: func() *unidetect.Model { return testModel(t) },
-		Logf:  t.Logf,
-	}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.Submit("acme", "upload", "csv", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the first checkpoint, then yank the store.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(s.statePath(rec.ID)); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never checkpointed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	if got, _ := s.Get("acme", rec.ID); got.State.Terminal() {
-		t.Skip("job finished before the store closed; park window missed")
-	}
-
-	// Resume without the throttle; the checkpoint carries the progress.
-	cfg.ChunkDelay = 0
-	s2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	final := waitTerminal(t, s2, "acme", rec.ID)
-	if final.State != StateDone {
-		t.Fatalf("resumed job finished %s (%s)", final.State, final.Error)
-	}
-	got, err := os.ReadFile(s2.findingsPath(rec.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("resumed findings differ from uninterrupted run (%d vs %d bytes)", len(got), len(want))
-	}
-	if len(want) == 0 {
-		t.Fatal("control run found nothing; test has no power")
-	}
+	return tableCSV(t, tab)
 }
 
-// TestCorruptCheckpointRestartsCleanly: a torn checkpoint must restart
-// the scan from zero, still finishing with the uninterrupted findings.
-func TestCorruptCheckpointRestartsCleanly(t *testing.T) {
-	body := errorCSV(t, 600, 17)
-	dir := t.TempDir()
-	cfg := Config{
-		Dir: dir, Workers: 1, ChunkRows: 32, ChunkDelay: 3 * time.Millisecond,
-		Model: func() *unidetect.Model { return testModel(t) },
-		Logf:  t.Logf,
-	}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.Submit("acme", "upload", "csv", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(s.statePath(rec.ID)); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never checkpointed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	if got, _ := s.Get("acme", rec.ID); got.State.Terminal() {
-		t.Skip("job finished before the store closed; park window missed")
-	}
-
-	// Tear the checkpoint tail.
-	state := s.statePath(rec.ID)
-	b, err := os.ReadFile(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(state, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.ChunkDelay = 0
-	s2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	final := waitTerminal(t, s2, "acme", rec.ID)
-	if final.State != StateDone {
-		t.Fatalf("restarted job finished %s (%s)", final.State, final.Error)
-	}
-	got := readFindings(t, s2, "acme", rec.ID)
+// spoolChunks counts the 32-row chunks and chunk bytes of a CSV spool.
+func spoolChunks(t *testing.T, body []byte) (chunks, size int) {
+	t.Helper()
 	src, err := colstore.NewCSVSource("upload", bytes.NewReader(body), colstore.Options{ChunkRows: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := testModel(t).DetectSource(context.Background(), src)
+	for {
+		c, err := src.Next()
+		if err == io.EOF {
+			return chunks, size
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks++
+		size += c.Bytes()
+	}
+}
+
+// parkMidScan submits body to a one-worker store on cfg, throttled so
+// Close lands mid-scan, and closes the store once the job has folded at
+// least folded chunks. It returns the parked job's id, and skips t if
+// the job finished before the store closed.
+func parkMidScan(t *testing.T, cfg Config, body []byte, folded int64) string {
+	t.Helper()
+	cfg.Workers, cfg.ChunkDelay, cfg.Obs = 1, 3*time.Millisecond, obs.NewRegistry()
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, toWire(want)) {
-		t.Fatal("restarted-from-corrupt-checkpoint findings diverged")
+	t.Cleanup(s.Close) // joins the worker if the wait below fails
+	rec, err := s.Submit("acme", "upload", "csv", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.m.chunks.Value() < folded {
+		if time.Now().After(deadline) {
+			t.Fatalf("job folded %d chunks in 30s, want %d", s.m.chunks.Value(), folded)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	if got, _ := s.Get("acme", rec.ID); got.State.Terminal() {
+		t.Skip("job finished before the store closed; park window missed")
+	}
+	return rec.ID
+}
+
+// finishParked reopens a store on cfg, unthrottled, and waits for the
+// parked job id to finish.
+func finishParked(t *testing.T, cfg Config, id string) (*Store, Record) {
+	t.Helper()
+	cfg.Workers, cfg.ChunkDelay, cfg.Obs = 1, 0, obs.NewRegistry()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, waitTerminal(t, s, "acme", id)
+}
+
+// runUninterrupted runs body to completion on a fresh store and
+// returns the finished record and findings bytes.
+func runUninterrupted(t *testing.T, body []byte, mutate func(*Config)) (Record, []byte) {
+	t.Helper()
+	s := openStore(t, t.TempDir(), mutate)
+	rec, err := s.Submit("acme", "upload", "csv", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, s, "acme", rec.ID)
+	findings, err := os.ReadFile(s.findingsPath(rec.ID))
+	if err != nil {
+		t.Fatalf("control job finished %s (%s): %v", final.State, final.Error, err)
+	}
+	return final, findings
+}
+
+// TestParkResumeByteIdentical is the store-level restart contract: a
+// store closed mid-job parks it, a fresh Open runs it again from the
+// top of its spool, and the finished findings file is byte-identical to
+// an uninterrupted run's.
+func TestParkResumeByteIdentical(t *testing.T) {
+	body := plantedCSV(t)
+	ctrl, want := runUninterrupted(t, body, nil)
+	if ctrl.State != StateDone {
+		t.Fatalf("control job finished %s", ctrl.State)
+	}
+	if len(want) == 0 {
+		t.Fatal("control run found nothing; test has no power")
+	}
+
+	cfg := Config{
+		Dir: t.TempDir(), ChunkRows: 32,
+		Model: func() *unidetect.Model { return testModel(t) },
+		Logf:  t.Logf,
+	}
+	id := parkMidScan(t, cfg, body, 1)
+	s2, final := finishParked(t, cfg, id)
+	if final.State != StateDone {
+		t.Fatalf("restarted job finished %s (%s)", final.State, final.Error)
+	}
+	got, err := os.ReadFile(s2.findingsPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restarted findings differ from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	// The reopened store folded the whole spool: the job restarted from
+	// chunk 0 rather than resuming where it was parked.
+	chunks, _ := spoolChunks(t, body)
+	if folded := s2.m.chunks.Value(); folded != int64(chunks) || final.Chunks != chunks {
+		t.Fatalf("reopened store folded %d chunks and recorded %d, the spool has %d", folded, final.Chunks, chunks)
+	}
+}
+
+// TestRestartDegradesLikeUninterrupted: a restarted process counts
+// fault ordinals from zero, so under a seeded chunk-fault schedule a
+// job parked past the faulted chunk and run again by a fresh injector
+// must degrade exactly the chunks an uninterrupted run degrades.
+func TestRestartDegradesLikeUninterrupted(t *testing.T) {
+	schedule := func() *faultinject.Injector {
+		return faultinject.New(1, faultinject.Rule{
+			Site: "jobstore/chunk", Hits: []int{2},
+			Fault: faultinject.Fault{Err: errors.New("chunk dropped")},
+		})
+	}
+	body := plantedCSV(t)
+	ctrl, want := runUninterrupted(t, body, func(c *Config) { c.Inject = schedule() })
+	if ctrl.State != StateDegraded || ctrl.Degraded != 1 {
+		t.Fatalf("control job finished %s with %d degraded chunks, want degraded/1", ctrl.State, ctrl.Degraded)
+	}
+	if len(want) == 0 {
+		t.Fatal("control run found nothing; test has no power")
+	}
+
+	cfg := Config{
+		Dir: t.TempDir(), ChunkRows: 32, Inject: schedule(),
+		Model: func() *unidetect.Model { return testModel(t) },
+		Logf:  t.Logf,
+	}
+	id := parkMidScan(t, cfg, body, 4)
+	cfg.Inject = schedule() // a restarted process starts a fresh injector
+	s2, final := finishParked(t, cfg, id)
+	if final.State != ctrl.State || final.Degraded != ctrl.Degraded || final.Rows != ctrl.Rows || final.Chunks != ctrl.Chunks {
+		t.Fatalf("restarted job finished %s with %d degraded of %d chunks and %d rows; uninterrupted: %s with %d of %d and %d",
+			final.State, final.Degraded, final.Chunks, final.Rows, ctrl.State, ctrl.Degraded, ctrl.Chunks, ctrl.Rows)
+	}
+	got, err := os.ReadFile(s2.findingsPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restarted findings differ from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestJobWritesNoScanState: a job's directory holds its spool and
+// record while it runs or is parked, and only those plus the findings
+// once it is done.
+func TestJobWritesNoScanState(t *testing.T) {
+	cfg := Config{
+		Dir: t.TempDir(), ChunkRows: 32,
+		Model: func() *unidetect.Model { return testModel(t) },
+		Logf:  t.Logf,
+	}
+	id := parkMidScan(t, cfg, plantedCSV(t), 1)
+	files := func() []string {
+		ents, err := os.ReadDir(filepath.Join(cfg.Dir, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	if got, want := files(), []string{"input.csv", "record.json"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("parked job dir holds %v, want %v", got, want)
+	}
+	s2, final := finishParked(t, cfg, id)
+	if final.State != StateDone {
+		t.Fatalf("restarted job finished %s (%s)", final.State, final.Error)
+	}
+	s2.Close() // the terminal record is published before it is written
+	if got, want := files(), []string{"findings.ndjson", "input.csv", "record.json"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("finished job dir holds %v, want %v", got, want)
 	}
 }
 
@@ -379,22 +437,7 @@ func TestInjectedChunkFaultDegrades(t *testing.T) {
 	if final.State != StateDegraded || final.Degraded != 1 {
 		t.Fatalf("job finished %s with %d degraded chunks, want degraded/1", final.State, final.Degraded)
 	}
-	src, err := colstore.NewCSVSource("upload", bytes.NewReader(body), colstore.Options{ChunkRows: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks, size := 0, 0
-	for {
-		c, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunks++
-		size += c.Bytes()
-	}
+	chunks, size := spoolChunks(t, body)
 	var prom strings.Builder
 	if err := scanReg.WritePromText(&prom); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package serving
 
 // jobs.go implements the async job tier's HTTP surface. POST /v1/jobs
 // spools the upload and answers 202 with a job id immediately — the
-// scan happens on the job store's worker pool, checkpointed per chunk,
-// so a huge table never pins a request slot for its whole scan and a
-// killed daemon resumes where it left off. GET /v1/jobs/{id} reports
+// scan happens on the job store's worker pool, so a huge table never
+// pins a request slot for its whole scan, and a killed daemon runs the
+// job again from its spool on restart. GET /v1/jobs/{id} reports
 // the job as NDJSON: status lines while queued/running/failed, the
 // findings stream plus a terminal summary line once done or degraded.
 // Jobs are tenant-scoped end to end: another tenant's id is a 404.

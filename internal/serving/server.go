@@ -70,14 +70,14 @@ type Config struct {
 	// anonymously, as before.
 	Tenants *tenants.Registry
 	// JobsDir, when non-empty, enables the async job tier (/v1/jobs):
-	// uploads spool under this directory and a worker pool scans them
-	// with per-chunk checkpointing.
+	// uploads spool under this directory and a worker pool scans them;
+	// a job left unfinished runs again from its spool on restart.
 	JobsDir string
 	// JobWorkers bounds the job worker pool (0 = jobstore default).
 	JobWorkers int
 	// JobChunkRows is the job scan chunk geometry (0 = colstore
-	// default): it sets how often a job checkpoints, not what it finds.
-	// Must stay stable across restarts for resume.
+	// default): it sets how often a closing store can park a job, not
+	// what the job finds.
 	JobChunkRows int
 	// JobChunkDelay throttles job scans between chunks; the e2e chaos
 	// harness uses it to widen kill windows. 0 = full speed.
@@ -303,9 +303,9 @@ func New(model *unidetect.Model, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close joins the async job workers; a job mid-scan parks at its last
-// checkpoint for the next process to resume. Idempotent-enough for
-// tests: call once.
+// Close joins the async job workers; a job mid-scan parks after its
+// current chunk, and the next process runs it again from the top of its
+// spool. Idempotent-enough for tests: call once.
 func (s *Server) Close() {
 	if s.jobs != nil {
 		s.jobs.Close()

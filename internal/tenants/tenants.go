@@ -1,5 +1,5 @@
 // Package tenants is the daemon's on-disk tenant registry: tenant id →
-// API-key hash, model assignment, config overrides and quotas. The
+// API-key hash, config overrides and quotas. The
 // registry file is framed like the training checkpoint (magic + framed
 // gob records, single-Write frames) but loads STRICTLY: a torn or
 // corrupt file is a hard error and never partially applies — auth state
@@ -40,12 +40,6 @@ type Tenant struct {
 	// KeyHash is the hex SHA-256 of the tenant's API key (HashKey).
 	// The plaintext key never touches disk.
 	KeyHash string
-	// ModelPath optionally pins the tenant to a model file; empty means
-	// the daemon's shared model.
-	ModelPath string
-	// ModelVersion is bumped when the tenant's model assignment
-	// changes; surfaced in job records for audit.
-	ModelVersion int
 	// MaxBody overrides the daemon's request body cap when > 0.
 	MaxBody int64
 	// RatePerSec refills the tenant's token bucket; with Burst <= 0 the

@@ -11,7 +11,7 @@ import (
 func sampleTenants() []Tenant {
 	return []Tenant{
 		{ID: "acme", KeyHash: HashKey("acme-key"), RatePerSec: 10, Burst: 5, MaxBody: 1 << 20},
-		{ID: "globex", KeyHash: HashKey("globex-key"), ModelPath: "globex.model", ModelVersion: 3},
+		{ID: "globex", KeyHash: HashKey("globex-key"), MaxBody: 4 << 20},
 		{ID: "initech", KeyHash: HashKey("initech-key"), RatePerSec: 0.5, Burst: 2},
 	}
 }
@@ -254,6 +254,38 @@ func FuzzTenantRegistryLoad(f *testing.F) {
 	})
 }
 
+// TestReadAcceptsRetiredModelFields: a registry written while Tenant
+// still carried ModelPath and ModelVersion keeps loading; gob drops the
+// fields Tenant no longer has.
+func TestReadAcceptsRetiredModelFields(t *testing.T) {
+	type legacyTenant struct {
+		ID           string
+		KeyHash      string
+		ModelPath    string
+		ModelVersion int
+		MaxBody      int64
+		RatePerSec   float64
+		Burst        int
+	}
+	var buf bytes.Buffer
+	buf.Write(magic)
+	if err := writeFrame(&buf, header{Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&buf, legacyTenant{ID: "globex", KeyHash: HashKey("globex-key"),
+		ModelPath: "globex.model", ModelVersion: 3, MaxBody: 4 << 20, RatePerSec: 0.5, Burst: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("registry with the retired model fields failed to load: %v", err)
+	}
+	want := Tenant{ID: "globex", KeyHash: HashKey("globex-key"), MaxBody: 4 << 20, RatePerSec: 0.5, Burst: 2}
+	if len(ts) != 1 || ts[0] != want {
+		t.Fatalf("loaded %+v, want [%+v]", ts, want)
+	}
+}
+
 func TestSaveAndSaveFileRoundTrip(t *testing.T) {
 	clk := &fakeClock{}
 	r, err := New(sampleTenants(), clk.now)
@@ -269,7 +301,7 @@ func TestSaveAndSaveFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != len(sampleTenants()) || ts[1].ModelPath != "globex.model" {
+	if len(ts) != len(sampleTenants()) || ts[1].MaxBody != 4<<20 {
 		t.Fatalf("Save/Read round trip lost records: %+v", ts)
 	}
 	// SaveFile then Open: the durable round trip.
@@ -291,7 +323,7 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := r.Lookup("globex"); !ok || got.ModelVersion != 3 {
+	if got, ok := r.Lookup("globex"); !ok || got.MaxBody != 4<<20 {
 		t.Fatalf("Lookup(globex) = %+v, %v", got, ok)
 	}
 	if _, ok := r.Lookup("nobody"); ok {

@@ -7,35 +7,23 @@ import (
 	"github.com/unidetect/unidetect/internal/core"
 )
 
-// SourceScan is the resumable form of DetectSource: the caller drives
-// the scan one chunk at a time and can Save the whole intermediate
-// state between chunks. A scan reloaded with LoadSourceScan and fed the
-// remaining chunks finishes with findings identical to an uninterrupted
-// DetectSource over the same stream — the contract the async job store
-// builds its crash-safe per-chunk checkpointing on.
+// SourceScan is the chunk-at-a-time form of DetectSource: the caller
+// drives the scan one chunk at a time, and a scan fed a source's chunks
+// finishes with findings identical to one DetectSource call over the
+// same stream. The async job store drives its spooled uploads this way,
+// from the top of the spool on every run.
 //
 // Chunk is the colstore chunk type, following the Source = colstore
 // alias: streaming callers already hold colstore chunks.
 //
 // A SourceScan is not safe for concurrent use.
 type SourceScan struct {
-	m *Model
 	s *core.SourceScan
 }
 
-// NewSourceScan starts a resumable scan of the named table.
+// NewSourceScan starts a chunk-at-a-time scan of the named table.
 func (m *Model) NewSourceScan(name string) *SourceScan {
-	return &SourceScan{m: m, s: m.predictor().NewSourceScan(name)}
-}
-
-// LoadSourceScan resumes a scan serialized by SourceScan.Save. Torn or
-// corrupt state is a hard error, never a partial resume.
-func (m *Model) LoadSourceScan(r io.Reader) (*SourceScan, error) {
-	s, err := m.predictor().LoadSourceScan(r)
-	if err != nil {
-		return nil, err
-	}
-	return &SourceScan{m: m, s: s}, nil
+	return &SourceScan{s: m.predictor().NewSourceScan(name)}
 }
 
 // Fold folds one chunk into the scan; detection runs once, in Finish.
@@ -46,8 +34,7 @@ func (s *SourceScan) Fold(c *colstore.Chunk) { s.s.Fold(c) }
 func (s *SourceScan) SkipDegraded(c *colstore.Chunk) { s.s.SkipDegraded(c) }
 
 // Pos returns the number of stream positions consumed (folded plus
-// degraded). A resuming caller skips exactly Pos chunks of the reopened
-// source before folding again.
+// degraded).
 func (s *SourceScan) Pos() int { return s.s.Pos() }
 
 // Degraded returns how many chunks were skipped as degraded.
@@ -56,18 +43,22 @@ func (s *SourceScan) Degraded() int { return s.s.Degraded() }
 // Rows returns the number of source rows folded so far.
 func (s *SourceScan) Rows() int { return s.s.Rows() }
 
-// Save serializes the scan state as one atomic frame.
-func (s *SourceScan) Save(w io.Writer) error { return s.s.Save(w) }
+// Save writes nothing and returns nil.
+//
+// Deprecated: a scan keeps no state worth saving, since its sketch after
+// k chunks follows from the stream's first k chunks; jobs rescan their
+// spool instead. Save goes once no caller remains.
+func (s *SourceScan) Save(io.Writer) error { return nil }
 
 // Finish scores the folded rows once, as DetectAll scores a table, and
 // returns the ranked findings with exactly DetectSource's
-// post-processing (FDR filtering, public classes), so a chunk-at-a-time
-// scan is byte-identical to one DetectSource call. schema names the
-// columns of an empty stream.
+// post-processing (public classes), so a chunk-at-a-time scan is
+// byte-identical to one DetectSource call. schema names the columns of
+// an empty stream.
 func (s *SourceScan) Finish(schema []string) ([]Finding, error) {
 	fs, err := s.s.Finish(schema)
 	if err != nil {
 		return nil, err
 	}
-	return s.m.publicFindings(fs), nil
+	return publicFindings(fs), nil
 }

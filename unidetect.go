@@ -250,11 +250,6 @@ type Options struct {
 	// Detect output as PatternIncompatibility, ranked by their own
 	// significance score.
 	WithPatterns bool
-	// FDR, when positive, applies the Benjamini–Hochberg procedure at
-	// this false-discovery-rate level across the ranked findings of each
-	// DetectAll call — the multiple-testing correction the paper flags
-	// as an open challenge (§2.2.3).
-	FDR float64
 	// Workers bounds parallelism (default GOMAXPROCS).
 	Workers int
 	// Obs, when non-nil, receives training and detection metrics
@@ -374,7 +369,7 @@ func (m *Model) DetectSource(ctx context.Context, src Source) ([]Finding, error)
 	if err != nil {
 		return nil, err
 	}
-	return m.publicFindings(fs), nil
+	return publicFindings(fs), nil
 }
 
 // DetectAll scans many tables concurrently and returns all findings
@@ -382,7 +377,7 @@ func (m *Model) DetectSource(ctx context.Context, src Source) ([]Finding, error)
 // pattern-significance scores share the ranking, as the paper's union of
 // per-class ranked lists does, §2.2.3).
 func (m *Model) DetectAll(ctx context.Context, tables []*Table) []Finding {
-	out := m.publicFindings(m.predictor().DetectAll(ctx, tables))
+	out := publicFindings(m.predictor().DetectAll(ctx, tables))
 	if m.patterns != nil {
 		alpha := m.core.Config.Alpha
 		for _, t := range tables {
@@ -403,12 +398,8 @@ func (m *Model) DetectAll(ctx context.Context, tables []*Table) []Finding {
 	return out
 }
 
-// publicFindings applies the FDR filter (Options.FDR) to ranked core
-// findings and converts the survivors to the public form.
-func (m *Model) publicFindings(fs []core.Finding) []Finding {
-	if m.opts != nil && m.opts.FDR > 0 {
-		fs = core.FDRFilter(fs, m.opts.FDR)
-	}
+// publicFindings converts ranked core findings to the public form.
+func publicFindings(fs []core.Finding) []Finding {
 	out := make([]Finding, len(fs))
 	for i, f := range fs {
 		out[i] = Finding{

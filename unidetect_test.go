@@ -362,32 +362,6 @@ func TestWithPatternsOption(t *testing.T) {
 	}
 }
 
-func TestFDROptionFilters(t *testing.T) {
-	ctx := context.Background()
-	bg := unidetect.SyntheticCorpus(unidetect.WebProfile, 1000, 51)
-	loose, err := unidetect.Train(ctx, bg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, err := unidetect.Train(ctx, bg, &unidetect.Options{FDR: 0.0001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := unidetect.SyntheticCorpus(unidetect.WebProfile, 50, 77)
-	a := loose.DetectAll(ctx, targets)
-	b := strict.DetectAll(ctx, targets)
-	if len(b) > len(a) {
-		t.Errorf("FDR filter grew findings: %d > %d", len(b), len(a))
-	}
-	// The kept findings are the most confident prefix.
-	for i := range b {
-		if b[i].Score != a[i].Score {
-			t.Errorf("finding %d differs after FDR filter", i)
-			break
-		}
-	}
-}
-
 func TestMergeModels(t *testing.T) {
 	ctx := context.Background()
 	shard1 := unidetect.SyntheticCorpus(unidetect.WebProfile, 800, 31)
